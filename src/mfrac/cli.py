@@ -245,8 +245,8 @@ def _require_number(config, key, *, integer=False):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValidationError(f"config key '{key}' must be an integer, got {value!r}")
         return value
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"config key '{key}' must be a number, got {value!r}")
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise ValidationError(f"config key '{key}' must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -298,7 +298,8 @@ def _heat_table(config) -> CsvTable:
     # The projection does not depend on alpha; compute it once.
     coefficients = fourier_coeffs(problems[0])
     solutions = [solve_heat(prob, coefficients=coefficients) for prob in problems]
-    xs = [length * i / (x_points - 1) for i in range(x_points)]
+    # L*(n-1)/(n-1) can round above L; the grid must stay inside [0, L].
+    xs = [min(length * i / (x_points - 1), length) for i in range(x_points)]
     rows = [
         tuple([x] + [sol.evaluate(x, t) for sol in solutions])
         for x in xs

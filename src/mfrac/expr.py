@@ -9,15 +9,18 @@ Grammar (whitespace insensitive; 'x' and 't' denote the same variable):
     primary := number | 'x' | 't' | func '(' expr ')' | '(' expr ')'
     func    := 'sin' | 'cos' | 'exp' | 'ln' | 'sqrt' | 'abs'
 
-Note the power binds a whole unary, so "-x^2" parses as (-x)^2.  Integer
+Note the power binds a whole unary, so "-x^2" parses as (-x)^2.  Number
+literals must be finite, and a tree may nest at most MAX_DEPTH levels.  Integer
 exponents (within 1e-12 of an integer) are evaluated by repeated
 multiplication, which keeps negative bases exact; a non-integer exponent over
-a negative base is a domain error (real-only semantics).
+a negative base is a domain error (real-only semantics).  Any float fault while
+evaluating a node is a DomainError that quotes the node.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -46,7 +49,11 @@ __all__ = [
     "unparse",
 ]
 
-FUNCTION_NAMES = ("abs", "cos", "exp", "ln", "sin", "sqrt")
+# Deepest accepted tree: every operator, call, unary minus and parenthesized
+# group is one level.  Parsing takes at most six stack frames per level and
+# printing, compiling or evaluating at most two, well inside Python's default
+# recursion limit of 1000.
+MAX_DEPTH = 100
 
 
 class Expr:
@@ -159,10 +166,15 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent returning (node, depth).  ``level`` counts the groups,
+    minuses and exponents around the current token, which stops recursion
+    early; the returned depths catch left-deep chains, which never recurse."""
+
     def __init__(self, source: str, tokens: list[tuple[str, str, int]]):
         self.source = source
         self.tokens = tokens
         self.i = 0
+        self.level = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -187,58 +199,84 @@ class _Parser:
             self.fail(context, (f"'{op}'",))
         return self.advance()
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
+    def too_deep(self, tok):
+        raise ParseError(
+            f"expression nests deeper than {MAX_DEPTH} levels", _byte_offset(self.source, tok[2])
+        )
+
+    def nest(self, tok, *depths: int) -> int:
+        depth = 1 + max(depths)
+        if depth > MAX_DEPTH:
+            self.too_deep(tok)
+        return depth
+
+    def enclosed(self, tok, parse):
+        if self.level >= MAX_DEPTH:
+            self.too_deep(tok)
+        self.level += 1
+        node, depth = parse()
+        self.level -= 1
+        return node, depth
+
+    def parse_expr(self) -> tuple[Expr, int]:
+        node, depth = self.parse_term()
         while (tok := self.peek()) is not None and tok[0] in ("+", "-"):
             self.advance()
-            right = self.parse_term()
+            right, right_depth = self.parse_term()
             node = Add(node, right) if tok[0] == "+" else Sub(node, right)
-        return node
+            depth = self.nest(tok, depth, right_depth)
+        return node, depth
 
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
+    def parse_term(self) -> tuple[Expr, int]:
+        node, depth = self.parse_factor()
         while (tok := self.peek()) is not None and tok[0] in ("*", "/"):
             self.advance()
-            right = self.parse_factor()
+            right, right_depth = self.parse_factor()
             node = Mul(node, right) if tok[0] == "*" else Div(node, right)
-        return node
+            depth = self.nest(tok, depth, right_depth)
+        return node, depth
 
-    def parse_factor(self) -> Expr:
-        base = self.parse_unary()
+    def parse_factor(self) -> tuple[Expr, int]:
+        base, depth = self.parse_unary()
         if (tok := self.peek()) is not None and tok[0] == "^":
             self.advance()
-            return Pow(base, self.parse_factor())
-        return base
+            exponent, exponent_depth = self.enclosed(tok, self.parse_factor)
+            return Pow(base, exponent), self.nest(tok, depth, exponent_depth)
+        return base, depth
 
-    def parse_unary(self) -> Expr:
+    def parse_unary(self) -> tuple[Expr, int]:
         if (tok := self.peek()) is not None and tok[0] == "-":
             self.advance()
-            return Neg(self.parse_unary())
+            operand, depth = self.enclosed(tok, self.parse_unary)
+            return Neg(operand), self.nest(tok, depth)
         return self.parse_primary()
 
-    def parse_primary(self) -> Expr:
+    def parse_primary(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok is None:
             self.fail("expected a value", _PRIMARY_EXPECTED)
         kind, text, pos = tok
         if kind == "number":
             self.advance()
-            return Constant(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text} is not finite", _byte_offset(self.source, pos))
+            return Constant(value), 0
         if kind == "name":
             self.advance()
             if text in ("x", "t"):
-                return Variable()
-            if text in FUNCTION_NAMES:
+                return Variable(), 0
+            if text in _FUNCTION_RULES:
                 self.expect("(", f"after function '{text}'")
-                arg = self.parse_expr()
+                arg, depth = self.enclosed(tok, self.parse_expr)
                 self.expect(")", f"closing the argument of '{text}'")
-                return Call(text, arg)
+                return Call(text, arg), self.nest(tok, depth)
             raise UnknownIdentifierError(text, _byte_offset(self.source, pos))
         if kind == "(":
             self.advance()
-            node = self.parse_expr()
+            node, depth = self.enclosed(tok, self.parse_expr)
             self.expect(")", "closing a parenthesized expression")
-            return node
+            return node, self.nest(tok, depth)
         self.fail("expected a value", _PRIMARY_EXPECTED)
 
 
@@ -247,7 +285,7 @@ def parse(source: str) -> Expr:
     if not isinstance(source, str):
         raise ValidationError(f"expression source must be a string, got {type(source).__name__}")
     parser = _Parser(source, _tokenize(source))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     if parser.peek() is not None:
         parser.fail("trailing input", _OPERATOR_EXPECTED)
     return node
@@ -288,10 +326,8 @@ def unparse(e: Expr) -> str:
     return _fmt(e, _LEVEL_EXPR)
 
 
-def _int_pow(base: float, n: int, node: Expr) -> float:
+def _int_pow(base: float, n: int) -> float:
     # Square-and-multiply: repeated multiplication, so negative bases stay exact.
-    if n < 0 and base == 0.0:
-        raise DomainError(f"zero base with negative exponent in '{unparse(node)}'")
     acc = 1.0
     b = base
     m = abs(n)
@@ -304,67 +340,13 @@ def _int_pow(base: float, n: int, node: Expr) -> float:
     return 1.0 / acc if n < 0 else acc
 
 
-def _pow_value(base: float, p: float, node: Expr) -> float:
+def _pow(base: float, p: float) -> float:
     n = round(p)
     if abs(p - n) < 1e-12:
-        return _int_pow(base, int(n), node)
+        return _int_pow(base, int(n))
     if base < 0.0:
-        raise DomainError(
-            f"negative base with non-integer exponent in '{unparse(node)}'"
-        )
-    if base == 0.0 and p < 0.0:
-        raise DomainError(f"zero base with negative exponent in '{unparse(node)}'")
+        raise ValueError("negative base with non-integer exponent")
     return base**p
-
-
-def _call_value(name: str, v: float, node: Expr) -> float:
-    if name == "sin":
-        return math.sin(v)
-    if name == "cos":
-        return math.cos(v)
-    if name == "exp":
-        try:
-            return math.exp(v)
-        except OverflowError:
-            raise DomainError(f"exp overflow in '{unparse(node)}'") from None
-    if name == "ln":
-        if v <= 0.0:
-            raise DomainError(f"ln of non-positive value {v} in '{unparse(node)}'")
-        return math.log(v)
-    if name == "sqrt":
-        if v < 0.0:
-            raise DomainError(f"sqrt of negative value {v} in '{unparse(node)}'")
-        return math.sqrt(v)
-    if name == "abs":
-        return abs(v)
-    raise ValidationError(f"unsupported function '{name}'")
-
-
-def evaluate(e: Expr, t: float) -> float:
-    """Evaluate the expression at variable value t."""
-    match e:
-        case Constant(value=v):
-            return v
-        case Variable():
-            return t
-        case Add(left=l, right=r):
-            return evaluate(l, t) + evaluate(r, t)
-        case Sub(left=l, right=r):
-            return evaluate(l, t) - evaluate(r, t)
-        case Mul(left=l, right=r):
-            return evaluate(l, t) * evaluate(r, t)
-        case Div(left=l, right=r):
-            den = evaluate(r, t)
-            if den == 0.0:
-                raise DomainError(f"division by zero in '{unparse(e)}'")
-            return evaluate(l, t) / den
-        case Pow(base=b, exponent=x):
-            return _pow_value(evaluate(b, t), evaluate(x, t), e)
-        case Neg(operand=o):
-            return -evaluate(o, t)
-        case Call(func=name, arg=a):
-            return _call_value(name, evaluate(a, t), e)
-    raise ValidationError(f"not an Expr node: {e!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -414,104 +396,109 @@ class DualNumber:
         return DualNumber(-self.val, -self.der)
 
 
-def _call_dual(name: str, u: DualNumber, node: Expr) -> DualNumber:
-    if name == "sin":
-        return DualNumber(math.sin(u.val), math.cos(u.val) * u.der)
-    if name == "cos":
-        return DualNumber(math.cos(u.val), -math.sin(u.val) * u.der)
-    if name == "exp":
-        try:
-            ev = math.exp(u.val)
-        except OverflowError:
-            raise DomainError(f"exp overflow in '{unparse(node)}'") from None
-        return DualNumber(ev, ev * u.der)
-    if name == "ln":
-        if u.val <= 0.0:
-            raise DomainError(f"ln of non-positive value {u.val} in '{unparse(node)}'")
-        return DualNumber(math.log(u.val), u.der / u.val)
-    if name == "sqrt":
-        if u.val < 0.0:
-            raise DomainError(f"sqrt of negative value {u.val} in '{unparse(node)}'")
-        if u.val == 0.0:
-            raise DomainError(f"sqrt is not differentiable at 0 in '{unparse(node)}'")
-        root = math.sqrt(u.val)
-        return DualNumber(root, u.der / (2.0 * root))
-    if name == "abs":
-        if u.val == 0.0:
-            raise DomainError(f"abs is not differentiable at 0 in '{unparse(node)}'")
-        return DualNumber(abs(u.val), u.der if u.val > 0.0 else -u.der)
-    raise ValidationError(f"unsupported function '{name}'")
+def _div_dual(a: DualNumber, b: DualNumber) -> DualNumber:
+    return DualNumber(a.val / b.val, (a.der * b.val - a.val * b.der) / (b.val * b.val))
 
 
-def _pow_dual(b: DualNumber, x: DualNumber, node: Expr) -> DualNumber:
+def _pow_dual(b: DualNumber, x: DualNumber) -> DualNumber:
+    val = _pow(b.val, x.val)
     p = x.val
+    if x.der != 0.0:
+        # d(b^x) = b^x * (x' ln b + x b'/b); math.log rejects a non-positive base.
+        return DualNumber(val, val * (x.der * math.log(b.val) + p * b.der / b.val))
     n = round(p)
     if abs(p - n) < 1e-12:
         n = int(n)
-        val = _int_pow(b.val, n, node)
-        if x.der == 0.0:
-            der = 0.0 if n == 0 else n * _int_pow(b.val, n - 1, node) * b.der
-        else:
-            if b.val <= 0.0:
-                raise DomainError(
-                    f"power with varying exponent needs a positive base in '{unparse(node)}'"
-                )
-            der = val * (x.der * math.log(b.val) + p * b.der / b.val)
-        return DualNumber(val, der)
-    if b.val < 0.0:
-        raise DomainError(
-            f"negative base with non-integer exponent in '{unparse(node)}'"
-        )
+        return DualNumber(val, 0.0 if n == 0 else n * _int_pow(b.val, n - 1) * b.der)
     if b.val == 0.0:
-        if p < 0.0:
-            raise DomainError(f"zero base with negative exponent in '{unparse(node)}'")
-        raise DomainError(
-            f"fractional power is not differentiable at a zero base in '{unparse(node)}'"
-        )
-    val = b.val**p
-    if x.der == 0.0:
-        der = p * b.val ** (p - 1.0) * b.der
-    else:
-        der = val * (x.der * math.log(b.val) + p * b.der / b.val)
-    return DualNumber(val, der)
+        raise ValueError("fractional power is not differentiable at a zero base")
+    return DualNumber(val, p * b.val ** (p - 1.0) * b.der)
+
+
+# Binary node type -> (value rule, dual rule).  Every dual rule computes its
+# .val with the value rule's own float operation, so the two paths agree
+# bitwise by construction.
+_BINARY_RULES = {
+    Add: (operator.add, operator.add),
+    Sub: (operator.sub, operator.sub),
+    Mul: (operator.mul, operator.mul),
+    Div: (operator.truediv, _div_dual),
+    Pow: (_pow, _pow_dual),
+}
+
+# Function name -> (value rule f, derivative rule (v, f(v)) -> f'(v)).  The
+# rules do no domain checks of their own: math raises outside the domain, and
+# v / |v| and 0.5 / sqrt(v) divide by zero at 0, where abs and sqrt are not
+# differentiable.  The compiled node turns either into a DomainError.
+_FUNCTION_RULES = {
+    "abs": (abs, lambda v, fv: v / fv),
+    "cos": (math.cos, lambda v, fv: -math.sin(v)),
+    "exp": (math.exp, lambda v, fv: fv),
+    "ln": (math.log, lambda v, fv: 1.0 / v),
+    "sin": (math.sin, lambda v, fv: math.cos(v)),
+    "sqrt": (math.sqrt, lambda v, fv: 0.5 / fv),
+}
+
+
+def _guard(node: Expr, fn):
+    """Turn a float fault raised by fn into a DomainError that quotes node."""
+
+    def guarded(t):
+        try:
+            return fn(t)
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"cannot evaluate '{unparse(node)}' here ({exc.args[-1]})") from None
+
+    return guarded
+
+
+def _compile(e: Expr) -> tuple[Callable[[float], float], Callable[[float], DualNumber]]:
+    """Walk the tree once into a (value, dual) pair of closures of the variable."""
+    match e:
+        case Constant(value=c):
+            const = DualNumber(c, 0.0)
+            return (lambda t: c), (lambda t: const)
+        case Variable():
+            return (lambda t: t), (lambda t: DualNumber(t, 1.0))
+        case Neg(operand=o):
+            o_value, o_dual = _compile(o)
+            return (lambda t: -o_value(t)), (lambda t: -o_dual(t))
+        case Call(func=name, arg=a) if name in _FUNCTION_RULES:
+            rule, slope = _FUNCTION_RULES[name]
+            a_value, a_dual = _compile(a)
+
+            def dual(t):
+                u = a_dual(t)
+                fv = rule(u.val)
+                return DualNumber(fv, slope(u.val, fv) * u.der)
+
+            return _guard(e, lambda t: rule(a_value(t))), _guard(e, dual)
+        case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r) | Pow(l, r):
+            rule, dual_rule = _BINARY_RULES[type(e)]
+            l_value, l_dual = _compile(l)
+            r_value, r_dual = _compile(r)
+            return (
+                _guard(e, lambda t: rule(l_value(t), r_value(t))),
+                _guard(e, lambda t: dual_rule(l_dual(t), r_dual(t))),
+            )
+    raise ValidationError(f"not a supported Expr node: {e!r}")
+
+
+def evaluate(e: Expr, t: float) -> float:
+    """Evaluate the expression at variable value t."""
+    return _compile(e)[0](t)
 
 
 def evaluate_dual(e: Expr, t: float) -> DualNumber:
-    """Evaluate the expression and its derivative at t.
-
-    The value component follows the same arithmetic path as :func:`evaluate`,
-    so the two agree bitwise.
-    """
-    match e:
-        case Constant(value=v):
-            return DualNumber(v, 0.0)
-        case Variable():
-            return DualNumber(t, 1.0)
-        case Add(left=l, right=r):
-            return evaluate_dual(l, t) + evaluate_dual(r, t)
-        case Sub(left=l, right=r):
-            return evaluate_dual(l, t) - evaluate_dual(r, t)
-        case Mul(left=l, right=r):
-            return evaluate_dual(l, t) * evaluate_dual(r, t)
-        case Div(left=l, right=r):
-            den = evaluate_dual(r, t)
-            if den.val == 0.0:
-                raise DomainError(f"division by zero in '{unparse(e)}'")
-            return evaluate_dual(l, t) / den
-        case Pow(base=b, exponent=x):
-            return _pow_dual(evaluate_dual(b, t), evaluate_dual(x, t), e)
-        case Neg(operand=o):
-            return -evaluate_dual(o, t)
-        case Call(func=name, arg=a):
-            return _call_dual(name, evaluate_dual(a, t), e)
-    raise ValidationError(f"not an Expr node: {e!r}")
+    """Evaluate the expression and its derivative at t; .val equals evaluate(e, t) bitwise."""
+    return _compile(e)[1](t)
 
 
 def as_fn(e: Expr) -> Callable[[float], float]:
-    """Wrap a tree as a plain real-valued function of the variable."""
-    return lambda t: evaluate(e, t)
+    """Compile a tree once into a plain real-valued function of the variable."""
+    return _compile(e)[0]
 
 
 def as_dual_fn(e: Expr) -> Callable[[float], DualNumber]:
-    """Wrap a tree as a dual-valued function of the variable."""
-    return lambda t: evaluate_dual(e, t)
+    """Compile a tree once into a dual-valued function of the variable."""
+    return _compile(e)[1]

@@ -147,9 +147,24 @@ def _extrapolate_first_order(q, eps0, *, settle_rel, max_levels=20):
     return best_val, best_inc, best_eps
 
 
-def _two_sided_limit(q, eps0, settle_rel) -> LimitEstimate:
+def _quotient_limit(g: RealFn, p: FracParams, t: float, n: int, settle_rel) -> LimitEstimate:
+    """Extrapolate [g(t * E(eps * t^(n-alpha))) - g(t)] / eps to eps -> 0.
+
+    Evaluates the quotient at eps_j = eps0 * 2^-j with eps0 = 1e-2 * t^(alpha-n)
+    for both signs of eps, Richardson-extrapolates each side, and requires the
+    sides to agree.
+    """
+    mlp = p.ml_params()
+    scale = t ** (n - p.alpha)
+    g0 = g(t)
+
+    def q(eps):
+        arg = t * ml_truncated(eps * scale, mlp)
+        return (g(arg) - g0) / eps
+
+    eps0 = 1e-2 * t ** (p.alpha - n)
     # The defining limit is two-sided; requiring both signs to agree is what
-    # lets a jump in f show up as a convergence failure instead of a bogus 0.
+    # lets a jump in g show up as a convergence failure instead of a bogus 0.
     vp, ip, ep = _extrapolate_first_order(q, eps0, settle_rel=settle_rel)
     vm, im, em = _extrapolate_first_order(q, -eps0, settle_rel=settle_rel)
     gap = abs(vp - vm)
@@ -167,24 +182,13 @@ def _two_sided_limit(q, eps0, settle_rel) -> LimitEstimate:
 def deriv_limit(f: RealFn, p: FracParams, t: float, *, settle_rel=1e-6) -> LimitEstimate:
     """Limit-definition derivative: extrapolated quotient [f(t*E(eps*t^-alpha)) - f(t)] / eps.
 
-    Evaluates the quotient at eps_j = eps0 * 2^-j with eps0 = 1e-2 * t^alpha
-    (both signs of eps), Richardson-extrapolates each side, and requires the
-    sides to agree.  Raises ConvergenceError when the extrapolants never
-    settle within settle_rel, which is also how a discontinuity of f at t
-    manifests numerically.
+    The steps are eps_j = 1e-2 * t^alpha * 2^-j of both signs.  Raises
+    ConvergenceError when the extrapolants never settle within settle_rel,
+    which is also how a discontinuity of f at t manifests numerically.
     """
     _check_limit_order(p)
     _check_point(t)
-    mlp = p.ml_params()
-    scale = t ** (-p.alpha)
-    f0 = f(t)
-
-    def q(eps):
-        arg = t * ml_truncated(eps * scale, mlp)
-        return (f(arg) - f0) / eps
-
-    eps0 = 1e-2 * t**p.alpha
-    return _two_sided_limit(q, eps0, settle_rel)
+    return _quotient_limit(f, p, t, 0, settle_rel)
 
 
 def deriv_at_zero(f_dual: DualFn, p: FracParams, *, settle_rel=1e-8) -> float:
@@ -258,16 +262,7 @@ def deriv_higher_limit(
     """
     _check_higher_order(p, n)
     _check_point(t)
-    mlp = p.ml_params()
-    scale = t ** (n - p.alpha)
-    g0 = f_derivs(t, n)
-
-    def q(eps):
-        arg = t * ml_truncated(eps * scale, mlp)
-        return (f_derivs(arg, n) - g0) / eps
-
-    eps0 = 1e-2 * t ** (p.alpha - n)
-    return _two_sided_limit(q, eps0, settle_rel)
+    return _quotient_limit(lambda x: f_derivs(x, n), p, t, n, settle_rel)
 
 
 @dataclass(frozen=True)

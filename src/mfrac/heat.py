@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ToleranceNotMetError, ValidationError
-from .expr import Expr, evaluate
+from .expr import Expr, as_fn, evaluate
 from .fracint import integrate_adaptive
 from .special import gamma
 
@@ -80,8 +80,9 @@ def fourier_coeffs(prob: HeatProblem) -> list[float]:
     freq = math.pi / prob.L
     front = 2.0 / prob.L
     raw_tol = _COEFF_ABS_TOL / front
+    profile = as_fn(prob.initial_profile)
     for n in range(1, prob.n_terms + 1):
-        integrand = lambda x, w=n * freq: evaluate(prob.initial_profile, x) * math.sin(w * x)
+        integrand = lambda x, w=n * freq: profile(x) * math.sin(w * x)
         try:
             result = integrate_adaptive(integrand, 0.0, prob.L, abs_tol=raw_tol, rel_tol=0.0)
         except ToleranceNotMetError as exc:

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mfrac
 from _support import classical_heat_series
 from mfrac.cli import CsvTable, main
 
@@ -97,6 +101,39 @@ class TestDeriv:
         )
         assert code == 1
         assert "error" in err
+
+
+class TestEvaluationFaults:
+    @pytest.mark.parametrize("source", ["x^1000.5", "sin(x^400*x^400)"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["deriv", "--alpha", "0.5", "--beta", "1", "--t", "10"],
+            ["integrate", "--a", "0", "--t", "10", "--alpha", "0.5", "--beta", "1"],
+        ],
+    )
+    def test_exit_one_without_traceback(self, command, source):
+        # A separate interpreter, so an escaping exception would show as a traceback.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mfrac.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfrac", *command, "--f", source],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "cannot evaluate" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "source",
+        ["(" * 1200 + "x" + ")" * 1200, "+".join(["x"] * 1500), "-" * 1500 + "x", "1e999"],
+        ids=["parentheses", "sum", "minus", "literal"],
+    )
+    def test_deep_or_infinite_source_exits_one(self, capsys, source):
+        code, _, err = run_cli(
+            capsys, "deriv", f"--f={source}", "--alpha", "0.5", "--beta", "1", "--t", "1",
+        )
+        assert code == 1
+        assert "byte" in err
 
 
 class TestIntegrate:
@@ -203,6 +240,34 @@ class TestHeat:
         code, _, _ = run_cli(capsys, "heat", "--config", str(cfg), "--output", str(second))
         assert code == 0
         assert second.exists() and not first.exists()
+
+    def test_last_grid_point_is_exactly_l(self, tmp_path, capsys):
+        # 0.1 * 3 / 3 rounds to 0.10000000000000002, above L.
+        out_path = tmp_path / "heat.csv"
+        code, _, err = run_cli(
+            capsys, "heat", "--L", "0.1", "--k", "1", "--alpha", "0.5", "--beta", "1",
+            "--f", "x*(0.1-x)", "--t", "1", "--x-points", "4", "--n-terms", "5",
+            "--output", str(out_path),
+        )
+        assert code == 0, err
+        _, rows = read_csv(out_path)
+        assert rows[-1] == [0.1, 0.0]
+
+    @pytest.mark.parametrize("key,value", [("t", "NaN"), ("L", "Infinity"), ("k", "-Infinity")])
+    def test_non_finite_config_number_rejected(self, tmp_path, capsys, key, value):
+        out_path = tmp_path / "heat.csv"
+        config = {
+            "L": 1.0, "k": 0.003, "alpha": 0.5, "beta": 1.0,
+            "f": "50*x*(1-x)", "n_terms": 5, "t": 10.0, "x_points": 5,
+            "output": str(out_path),
+        }
+        cfg = tmp_path / "config.json"
+        # json.dumps writes NaN and Infinity as the bare tokens Python's reader accepts.
+        cfg.write_text(json.dumps(config).replace(f'"{key}": {config[key]}', f'"{key}": {value}'))
+        code, _, err = run_cli(capsys, "heat", "--config", str(cfg))
+        assert code == 1
+        assert f"'{key}'" in err and "finite" in err
+        assert not out_path.exists()
 
     def test_unknown_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

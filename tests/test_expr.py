@@ -7,6 +7,7 @@ import pytest
 
 from mfrac.errors import DomainError, ValidationError
 from mfrac.expr import (
+    MAX_DEPTH,
     Add,
     Call,
     Constant,
@@ -19,6 +20,8 @@ from mfrac.expr import (
     Sub,
     UnknownIdentifierError,
     Variable,
+    as_dual_fn,
+    as_fn,
     evaluate,
     evaluate_dual,
     parse,
@@ -84,6 +87,44 @@ class TestParse:
         with pytest.raises(ParseError):
             parse(bad)
 
+    def test_non_finite_literal_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse("1+1e999")
+        assert err.value.offset == 2
+
+    @pytest.mark.parametrize(
+        "source,offset",
+        [
+            ("(" * 1200 + "x" + ")" * 1200, MAX_DEPTH),
+            ("-" * 1500 + "x", MAX_DEPTH),
+            # The offending operator is the (MAX_DEPTH + 1)-th '+'.
+            ("+".join(["x"] * 1500), 2 * MAX_DEPTH + 1),
+            ("x^" * 1500 + "x", 2 * MAX_DEPTH + 1),
+            ("sin(" * 1200 + "x" + ")" * 1200, 4 * MAX_DEPTH),
+        ],
+        ids=["parentheses", "minus", "sum", "power", "calls"],
+    )
+    def test_depth_bound(self, source, offset):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert err.value.offset == offset
+        assert "deeper" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+            "-" * MAX_DEPTH + "x",
+            "+".join(["x"] * (MAX_DEPTH + 1)),
+            "-(" * (MAX_DEPTH // 2) + "x" + ")" * (MAX_DEPTH // 2),
+        ],
+        ids=["parentheses", "minus", "sum", "mixed"],
+    )
+    def test_deepest_accepted_trees_evaluate_and_print(self, source):
+        tree = parse(source)
+        assert parse(unparse(tree)) == tree
+        assert evaluate_dual(tree, 0.5).val == evaluate(tree, 0.5)
+
     def test_unicode_offset_is_in_bytes(self):
         with pytest.raises(ParseError) as err:
             parse("µ")
@@ -122,6 +163,21 @@ class TestEvaluate:
         with pytest.raises(DomainError) as err:
             evaluate(parse("1+ln(0-x)"), 2.0)
         assert "ln" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "source,node",
+        [
+            ("1+x^1000.5", "x^1000.5"),
+            ("sin(x^400*x^400)", "sin(x^400.0*x^400.0)"),
+            ("exp(x^3)", "exp(x^3.0)"),
+        ],
+    )
+    def test_float_faults_become_domain_errors(self, source, node):
+        tree = parse(source)
+        for fn in (evaluate, evaluate_dual):
+            with pytest.raises(DomainError) as err:
+                fn(tree, 10.0)
+            assert f"'{node}'" in str(err.value)
 
     def test_rejects_non_expr(self):
         with pytest.raises(ValidationError):
@@ -233,6 +289,11 @@ class TestProperties:
     def test_dual_value_matches_evaluate_bitwise(self):
         for tree, t, d in _usable_samples(17, 200):
             assert evaluate(tree, t) == d.val
+
+    def test_compiled_functions_match_evaluate_bitwise(self):
+        for tree, t, d in _usable_samples(17, 200):
+            assert as_fn(tree)(t) == evaluate(tree, t) == d.val
+            assert as_dual_fn(tree)(t) == d
 
     def test_dual_derivative_matches_central_difference(self):
         h = 1e-5
