@@ -41,6 +41,7 @@ from .heat import (
     fourier_coeffs,
     heat_residual,
     limit_solutions,
+    series_grid,
     solve_heat,
 )
 from .ode import LinearOdeProblem, OdeSolution, TermSign, solve_general, solve_linear, verify_linear
@@ -94,6 +95,7 @@ __all__ = [
     "mvt_witness",
     "parse",
     "rolle_witness",
+    "series_grid",
     "solve_general",
     "solve_heat",
     "solve_linear",

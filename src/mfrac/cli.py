@@ -25,7 +25,7 @@ from .fracderiv import (
     family_params,
 )
 from .fracint import mfrac_integral
-from .heat import HeatProblem, fourier_coeffs, solve_heat
+from .heat import HeatProblem, fourier_coeffs, series_grid, solve_heat
 from .ode import LinearOdeProblem, TermSign, solve_linear, verify_linear
 from .special import INFINITY, MLParams, TruncationIndex, ml_truncated
 
@@ -250,7 +250,12 @@ def _require_number(config, key, *, integer=False):
     return float(value)
 
 
-def _heat_table(config) -> CsvTable:
+def _column_label(alpha: float) -> str:
+    return f"u_alpha_{alpha:g}"
+
+
+def _heat_setup(config) -> tuple[list[HeatProblem], float, list[float]]:
+    """The validated problems of a heat config (one per alpha), its time and its grid."""
     length = _require_number(config, "L")
     diffusivity = _require_number(config, "k")
     beta = _require_number(config, "beta")
@@ -278,7 +283,7 @@ def _heat_table(config) -> CsvTable:
         raise ValidationError(
             f"config key 'alpha' must be a number or a non-empty list of numbers, got {alphas!r}"
         )
-    labels = [f"u_alpha_{a:g}" for a in alphas]
+    labels = [_column_label(a) for a in alphas]
     if len(set(labels)) != len(labels):
         raise ValidationError("config key 'alpha' contains duplicate values")
 
@@ -295,16 +300,15 @@ def _heat_table(config) -> CsvTable:
             raise ValidationError(f"config key 'alpha': {exc}") from None
 
     problems = [build_problem(a) for a in alphas]
-    # The projection does not depend on alpha; compute it once.
-    coefficients = fourier_coeffs(problems[0])
-    solutions = [solve_heat(prob, coefficients=coefficients) for prob in problems]
     # L*(n-1)/(n-1) can round above L; the grid must stay inside [0, L].
     xs = [min(length * i / (x_points - 1), length) for i in range(x_points)]
-    rows = [
-        tuple([x] + [sol.evaluate(x, t) for sol in solutions])
-        for x in xs
-    ]
-    return CsvTable(tuple(["x"] + labels), rows)
+    return problems, t, xs
+
+
+def _heat_table(problems, t, xs, coefficients) -> CsvTable:
+    solutions = [solve_heat(prob, coefficients=coefficients) for prob in problems]
+    rows = [(x, *cells) for x, cells in zip(xs, series_grid(solutions, xs, t))]
+    return CsvTable(("x", *(_column_label(prob.alpha) for prob in problems)), rows)
 
 
 def _cmd_heat(args) -> int:
@@ -313,18 +317,25 @@ def _cmd_heat(args) -> int:
         raise ValidationError("config key 'output' is required")
     if not isinstance(config["output"], str):
         raise ValidationError(f"config key 'output' must be a path, got {config['output']!r}")
-    table = _heat_table(config)
+    problems, t, xs = _heat_setup(config)
+    # The projection depends on neither alpha nor beta; compute it once.
+    table = _heat_table(problems, t, xs, fourier_coeffs(problems[0]))
     table.write(config["output"])
     return 0
 
 
 def _cmd_figures(args) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
+    coefficients = None
     for index, beta in _FIGURE_BETAS:
-        table = _heat_table({
+        problems, t, xs = _heat_setup({
             "L": 1.0, "k": 0.003, "alpha": list(_FIGURE_ALPHAS), "beta": beta,
             "f": _FIGURE_PROFILE, "n_terms": 51, "t": 150.0, "x_points": 201,
         })
+        if coefficients is None:
+            # All three figures share the profile, so one projection serves them.
+            coefficients = fourier_coeffs(problems[0])
+        table = _heat_table(problems, t, xs, coefficients)
         table.write(os.path.join(args.output_dir, f"figure{index}.csv"))
     return 0
 

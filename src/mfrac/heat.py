@@ -12,6 +12,7 @@ alpha < 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 from .errors import ToleranceNotMetError, ValidationError
@@ -25,6 +26,7 @@ __all__ = [
     "fourier_coeffs",
     "heat_residual",
     "limit_solutions",
+    "series_grid",
     "solve_heat",
 ]
 
@@ -104,21 +106,46 @@ class HeatSolution:
 
     def evaluate(self, x: float, t: float) -> float:
         """Series value at (x, t); exactly 0 on the boundary."""
-        prob = self.problem
-        if not 0.0 <= x <= prob.L:
-            raise ValidationError(f"x must lie in [0, {prob.L}], got {x}")
-        if t < 0.0:
-            raise ValidationError(f"t must be non-negative, got {t}")
-        if x == 0.0 or x == prob.L:
-            return 0.0
-        t_pow = t**prob.alpha
-        freq = math.pi / prob.L
-        total = 0.0
-        for n, (c, rate) in enumerate(zip(self.coefficients, self.decay_rates), start=1):
-            total += c * math.sin(n * freq * x) * math.exp(-rate * t_pow)
-        return total
+        return next(series_grid((self,), (x,), t))[0]
 
     __call__ = evaluate
+
+
+def series_grid(solutions, xs, t: float):
+    """Yield, for each x in ``xs``, the tuple of the solutions' values at (x, t).
+
+    The solutions must share L and the coefficients, as the alpha columns of
+    one table do.  The time factors exp(-rate_n * t^alpha) are computed once
+    per solution and the terms c_n * sin(n*pi*x/L) once per x, so a grid of X
+    points and A columns costs N*X sines and N*A exponentials.  Each value is
+    exactly 0 on the boundary.  Rows are produced lazily, so a point outside
+    [0, L] raises when its row is reached.
+    """
+    solutions = tuple(solutions)
+    first = solutions[0]
+    length = first.problem.L
+    coeffs = first.coefficients
+    if any(sol.problem.L != length or sol.coefficients != coeffs for sol in solutions):
+        raise ValidationError("the solutions of one grid must share L and the coefficients")
+    if not isinstance(t, (int, float)) or not math.isfinite(t):
+        raise ValidationError(f"t must be a finite real, got {t!r}")
+    if t < 0.0:
+        raise ValidationError(f"t must be non-negative, got {t}")
+    decays = []
+    for sol in solutions:
+        t_pow = t**sol.problem.alpha
+        decays.append([math.exp(-rate * t_pow) for rate in sol.decay_rates])
+    freq = math.pi / length
+    freqs = [n * freq for n in range(1, len(coeffs) + 1)]
+    edge = (0.0,) * len(solutions)
+    for x in xs:
+        if not 0.0 <= x <= length:
+            raise ValidationError(f"x must lie in [0, {length}], got {x}")
+        if x == 0.0 or x == length:
+            yield edge
+            continue
+        terms = [c * math.sin(w * x) for c, w in zip(coeffs, freqs)]
+        yield tuple([sum(map(operator.mul, terms, decay)) for decay in decays])
 
 
 def solve_heat(prob: HeatProblem, *, coefficients=None) -> HeatSolution:

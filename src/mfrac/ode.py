@@ -92,12 +92,15 @@ def solve_linear(prob: LinearOdeProblem) -> OdeSolution:
 
     def value(t: float) -> float:
         _check_time(t)
-        return c * math.exp(coeff * t**alpha)
+        try:
+            v = c * math.exp(coeff * t**alpha)
+        except OverflowError:
+            v = math.inf
+        return _finite(v, t)
 
     def dual(t: float) -> DualNumber:
-        _check_time(t)
-        v = c * math.exp(coeff * t**alpha)
-        return DualNumber(v, v * coeff * alpha * t ** (alpha - 1.0))
+        v = value(t)
+        return DualNumber(v, _finite(v * coeff * alpha * t ** (alpha - 1.0), t))
 
     description = f"v(t) = {c!r} * exp({coeff!r} * t^{alpha!r})"
     return OdeSolution(value, dual, description)
@@ -113,6 +116,12 @@ def verify_linear(sol: OdeSolution, prob: LinearOdeProblem, ts) -> float:
         )
         worst = max(worst, residual)
     return worst
+
+
+def _finite(v: float, t: float) -> float:
+    if not math.isfinite(v):
+        raise DomainError(f"the solution overflows a double at t={t!r}")
+    return v
 
 
 def _check_time(t: float):

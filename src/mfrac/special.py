@@ -66,8 +66,17 @@ def ln_gamma(x: float) -> float:
 
 
 def gamma(x: float) -> float:
-    """Gamma(x) for x > 0, evaluated as exp(ln_gamma(x))."""
-    return math.exp(ln_gamma(x))
+    """Gamma(x) for x > 0, evaluated as exp(ln_gamma(x)).
+
+    Beyond x ~ 171.6 the value exceeds the largest double: DomainError.
+    """
+    try:
+        value = math.exp(ln_gamma(x))
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise DomainError(f"Gamma({x}) exceeds the largest double")
+    return value
 
 
 @dataclass(frozen=True)

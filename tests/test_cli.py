@@ -10,6 +10,7 @@ import pytest
 
 import mfrac
 from _support import classical_heat_series
+from mfrac import cli
 from mfrac.cli import CsvTable, main
 
 
@@ -17,6 +18,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """Run the CLI in a separate interpreter, so an escaping exception shows as a traceback."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mfrac.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "mfrac", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 def read_csv(path):
@@ -113,12 +123,7 @@ class TestEvaluationFaults:
         ],
     )
     def test_exit_one_without_traceback(self, command, source):
-        # A separate interpreter, so an escaping exception would show as a traceback.
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mfrac.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mfrac", *command, "--f", source],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_module(*command, "--f", source)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "cannot evaluate" in proc.stderr
@@ -134,6 +139,39 @@ class TestEvaluationFaults:
         )
         assert code == 1
         assert "byte" in err
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["heat", "--L", "1", "--k", "0.003", "--alpha", "0.5", "--beta", "200",
+             "--f", "50*x*(1-x)", "--n-terms", "3", "--t", "1"],
+            ["deriv", "--f", "t^2", "--alpha", "0.5", "--beta", "200", "--t", "1"],
+            ["integrate", "--f", "1", "--a", "0", "--t", "1", "--alpha", "0.5", "--beta", "200"],
+        ],
+        ids=["heat", "deriv", "integrate"],
+    )
+    def test_gamma_overflow_exits_one(self, tmp_path, command):
+        out_path = tmp_path / "heat.csv"
+        if command[0] == "heat":
+            command = command + ["--output", str(out_path)]
+        proc = run_module(*command)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "Gamma(201.0)" in proc.stderr
+        assert not out_path.exists()
+
+    # mu^2 = 1e300 overflows exp for the growing solution; with alpha = 1e-10
+    # the exponent coefficient itself is infinite, whatever the sign.
+    @pytest.mark.parametrize("sign,alpha", [("minus", "0.5"), ("minus", "1e-10"), ("plus", "1e-10")])
+    def test_ode_overflow_exits_one(self, sign, alpha):
+        proc = run_module("ode", "--mu-sq", "1e300", "--sign", sign, "--c", "1",
+                          "--alpha", alpha, "--beta", "1", "--t", "1")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "t=1.0" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestIntegrate:
@@ -315,6 +353,20 @@ class TestFigures:
             assert len(rows) == 201
             assert all(v == 0.0 for v in rows[0][1:])
             assert all(v == 0.0 for v in rows[-1][1:])
+
+    def test_one_projection_serves_all_figures(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        project = cli.fourier_coeffs
+
+        def counting(prob):
+            calls.append(prob)
+            return project(prob)
+
+        monkeypatch.setattr(cli, "fourier_coeffs", counting)
+        code, _, _ = run_cli(capsys, "figures", "--output-dir", str(tmp_path))
+        assert code == 0
+        assert len(calls) == 1
+        assert sorted(os.listdir(tmp_path)) == ["figure1.csv", "figure2.csv", "figure3.csv"]
 
     def test_io_error_exits_three(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

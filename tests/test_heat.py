@@ -10,7 +10,14 @@ from _support import assert_close, classical_heat_series
 from mfrac.errors import ValidationError
 from mfrac.expr import parse
 from mfrac.fracderiv import FracParams
-from mfrac.heat import HeatProblem, fourier_coeffs, heat_residual, limit_solutions, solve_heat
+from mfrac.heat import (
+    HeatProblem,
+    fourier_coeffs,
+    heat_residual,
+    limit_solutions,
+    series_grid,
+    solve_heat,
+)
 from mfrac.ode import LinearOdeProblem, OdeSolution, TermSign, solve_linear, verify_linear
 from mfrac.expr import DualNumber
 
@@ -105,6 +112,63 @@ class TestSolveHeat:
     def test_coefficient_override_length_checked(self):
         with pytest.raises(ValidationError):
             solve_heat(paper_problem(n_terms=5), coefficients=(1.0, 2.0))
+
+
+def plain_series(sol, x, t):
+    """The truncated series at one point, summed term by term."""
+    prob = sol.problem
+    if x in (0.0, prob.L):
+        return 0.0
+    total = 0.0
+    for n, (c, rate) in enumerate(zip(sol.coefficients, sol.decay_rates), start=1):
+        total += c * math.sin(n * math.pi * x / prob.L) * math.exp(-rate * t**prob.alpha)
+    return total
+
+
+class TestSeriesGrid:
+    def test_random_grids_match_pointwise_and_plain_loop(self):
+        rng = random.Random(83)
+        for _ in range(30):
+            length = rng.uniform(0.2, 4.0)
+            n_terms = rng.randint(1, 40)
+            profile = parse(f"x*({length!r}-x)")
+            coeffs = [rng.uniform(-5.0, 5.0) for _ in range(n_terms)]
+            beta = rng.choice([0.5, 1.0, 2.0, rng.uniform(0.3, 3.0)])
+            k = rng.uniform(1e-3, 1e-1)
+            alphas = [rng.uniform(0.05, 1.0) for _ in range(rng.randint(1, 6))] + [1.0]
+            sols = [
+                solve_heat(HeatProblem(L=length, k=k, alpha=a, beta=beta,
+                                       initial_profile=profile, n_terms=n_terms),
+                           coefficients=coeffs)
+                for a in alphas
+            ]
+            points = rng.randint(2, 60)
+            xs = [0.0, length] + [rng.uniform(0.0, length) for _ in range(10)]
+            xs += [min(length * i / (points - 1), length) for i in range(points)]
+            bound = 1e-13 * (1.0 + sum(abs(c) for c in coeffs))
+            for t in (0.0, rng.uniform(0.0, 2.0), rng.uniform(2.0, 200.0)):
+                rows = list(series_grid(sols, xs, t))
+                assert len(rows) == len(xs)
+                assert rows[0] == rows[1] == (0.0,) * len(sols)
+                for x, row in zip(xs, rows):
+                    assert row == tuple(sol.evaluate(x, t) for sol in sols)
+                    for sol, value in zip(sols, row):
+                        assert abs(value - plain_series(sol, x, t)) <= bound
+
+    @pytest.mark.parametrize("x,t", [(-1e-12, 1.0), (1.0 + 1e-12, 1.0), (math.nan, 1.0),
+                                     (0.5, -1e-300), (0.5, math.nan), (0.5, math.inf)])
+    def test_validation_matches_pointwise(self, x, t):
+        sol = solve_heat(paper_problem(n_terms=3), coefficients=(1.0, 0.5, 0.25))
+        with pytest.raises(ValidationError):
+            sol.evaluate(x, t)
+        with pytest.raises(ValidationError):
+            list(series_grid([sol], [0.5, x], t))
+
+    def test_solutions_must_share_the_series(self):
+        first = solve_heat(paper_problem(n_terms=3), coefficients=(1.0, 0.5, 0.25))
+        other = solve_heat(paper_problem(alpha=0.9, n_terms=3), coefficients=(1.0, 0.5, 0.0))
+        with pytest.raises(ValidationError):
+            list(series_grid([first, other], [0.5], 1.0))
 
 
 class TestResidual:

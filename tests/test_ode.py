@@ -77,6 +77,17 @@ class TestLinear:
         with pytest.raises(DomainError):
             sol(0.0)
 
+    def test_overflow_is_a_domain_error(self):
+        growing = solve_linear(problem(1e300, TermSign.MINUS, 1.0, 0.5, 1.0))
+        with pytest.raises(DomainError, match="t=1.0"):
+            growing(1.0)
+        # alpha = 1e-10 makes the exponent coefficient infinite: the value
+        # underflows to 0, and its derivative 0 * inf is not a number.
+        decaying = solve_linear(problem(1e300, TermSign.PLUS, 1.0, 1e-10, 1.0))
+        assert decaying(1.0) == 0.0
+        with pytest.raises(DomainError, match="t=1.0"):
+            decaying.dual_evaluator(1.0)
+
 
 class TestGeneral:
     def test_reproduces_linear_closed_form(self):

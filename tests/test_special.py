@@ -71,6 +71,12 @@ class TestLnGamma:
         with pytest.raises(DomainError):
             ln_gamma(bad)
 
+    @pytest.mark.parametrize("big", [172.0, 201.0, 1e308])
+    def test_gamma_overflow_is_a_domain_error(self, big):
+        assert math.isfinite(gamma(171.0))
+        with pytest.raises(DomainError):
+            gamma(big)
+
 
 class TestParams:
     def test_truncation_validation(self):
