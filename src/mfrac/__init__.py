@@ -45,7 +45,15 @@ from .heat import (
     solve_heat,
 )
 from .ode import LinearOdeProblem, OdeSolution, TermSign, solve_general, solve_linear, verify_linear
-from .special import INFINITY, MLParams, TruncationIndex, gamma, ln_gamma, ml_truncated
+from .special import (
+    INFINITY,
+    MLParams,
+    TruncationIndex,
+    gamma,
+    ln_gamma,
+    ml_kernel,
+    ml_truncated,
+)
 
 __version__ = "0.1.0"
 
@@ -91,6 +99,7 @@ __all__ = [
     "limit_solutions",
     "ln_gamma",
     "mfrac_integral",
+    "ml_kernel",
     "ml_truncated",
     "mvt_witness",
     "parse",

@@ -9,6 +9,7 @@ floats, '.' decimal separator, ',' delimiter, '\n' line endings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -86,7 +87,13 @@ def _trunc_arg(text: str) -> TruncationIndex:
     return TruncationIndex(value)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by later ones.
+
+    Parsing leaves the parser unchanged (every result goes to a fresh
+    namespace), so `main` may be called any number of times in one process.
+    """
     parser = _Parser(prog="mfrac", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

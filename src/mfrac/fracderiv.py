@@ -14,7 +14,8 @@ from typing import Callable
 
 from .errors import ConvergenceError, ValidationError
 from .expr import DualNumber
-from .special import INFINITY, MLParams, TruncationIndex, gamma, ml_truncated
+from .special import INFINITY, MLParams, TruncationIndex, gamma, ml_kernel
+from .special import ml_truncated  # noqa: F401  (public name; benchmarks/tracer.py wraps it)
 
 __all__ = [
     "DerivFamily",
@@ -152,14 +153,15 @@ def _quotient_limit(g: RealFn, p: FracParams, t: float, n: int, settle_rel) -> L
 
     Evaluates the quotient at eps_j = eps0 * 2^-j with eps0 = 1e-2 * t^(alpha-n)
     for both signs of eps, Richardson-extrapolates each side, and requires the
-    sides to agree.
+    sides to agree.  All quotients of one estimate share one kernel, so each
+    log-gamma weight is computed once.
     """
-    mlp = p.ml_params()
+    kernel = ml_kernel(p.ml_params())
     scale = t ** (n - p.alpha)
     g0 = g(t)
 
     def q(eps):
-        arg = t * ml_truncated(eps * scale, mlp)
+        arg = t * kernel(eps * scale)
         return (g(arg) - g0) / eps
 
     eps0 = 1e-2 * t ** (p.alpha - n)

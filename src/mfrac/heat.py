@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 
-from .errors import ToleranceNotMetError, ValidationError
+from .errors import DomainError, ToleranceNotMetError, ValidationError
 from .expr import Expr, as_fn, evaluate
 from .fracint import integrate_adaptive
 from .special import gamma
@@ -153,6 +153,8 @@ def solve_heat(prob: HeatProblem, *, coefficients=None) -> HeatSolution:
 
     ``coefficients`` short-circuits the projection when the caller already
     holds them (they are alpha- and beta-independent); lengths must match.
+    A decay rate Gamma(beta+1) * (n*pi/L)^2 * k / alpha that overflows a
+    double raises DomainError.
     """
     if coefficients is None:
         coefficients = fourier_coeffs(prob)
@@ -164,11 +166,17 @@ def solve_heat(prob: HeatProblem, *, coefficients=None) -> HeatSolution:
     if not all(math.isfinite(c) for c in coefficients):
         raise ValidationError("coefficients must all be finite")
     scale = gamma(prob.beta + 1.0)
-    rates = tuple(
-        scale * (n * math.pi / prob.L) ** 2 * prob.k / prob.alpha
-        for n in range(1, prob.n_terms + 1)
-    )
-    return HeatSolution(problem=prob, coefficients=coefficients, decay_rates=rates)
+    rates = []
+    for n in range(1, prob.n_terms + 1):
+        try:
+            rate = scale * (n * math.pi / prob.L) ** 2 * prob.k / prob.alpha
+        except OverflowError:
+            rate = math.inf
+        # An infinite rate would turn exp(-rate * t^alpha) into nan at t = 0.
+        if not math.isfinite(rate):
+            raise DomainError(f"the decay rate of mode n={n} exceeds the largest double")
+        rates.append(rate)
+    return HeatSolution(problem=prob, coefficients=coefficients, decay_rates=tuple(rates))
 
 
 def heat_residual(sol: HeatSolution, x: float, t: float) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ConvergenceError, DomainError, ValidationError
 
@@ -17,6 +18,7 @@ __all__ = [
     "TruncationIndex",
     "gamma",
     "ln_gamma",
+    "ml_kernel",
     "ml_truncated",
 ]
 
@@ -121,68 +123,89 @@ class MLParams:
             raise ValidationError(f"beta must be a positive finite real, got {beta}")
 
 
-def _term_magnitude(log_abs_z: float, beta: float, k: int) -> float:
-    # |z|^k / Gamma(beta*k + 1) computed in log space so neither factor overflows.
-    try:
-        return math.exp(k * log_abs_z - ln_gamma(beta * k + 1.0))
-    except OverflowError:
-        return math.inf
+def ml_kernel(p: MLParams) -> Callable[[float], float]:
+    """The truncated Mittag-Leffler sum z -> sum of z^k / Gamma(beta*k + 1), k = 0..i.
+
+    Terms are built as sign(z)^k * exp(k*ln|z| - ln_gamma(beta*k + 1)).  The
+    log-gamma weights depend only on beta and k, so the returned function keeps
+    a table of them, filled the first time each k is needed, and one kernel
+    serves any number of arguments.  The table holds at most 501 entries; a
+    finite truncation beyond that computes its later weights on every call.
+
+    With an infinite truncation the summation stops once the next term drops
+    below 1e-16 of the running absolute sum; needing more than 500 terms
+    raises ConvergenceError.  Alternating sums (z < 0) that would cancel away
+    more than the target accuracy also raise ConvergenceError, except for
+    beta = 1 where exp(z) = 1/exp(-z) reflects the evaluation onto the
+    well-conditioned positive side.  With any truncation, a term or a total
+    that overflows raises ConvergenceError.
+    """
+    beta = p.beta
+    infinite = p.trunc.is_infinite
+    last = _INF_TERM_CAP if infinite else p.trunc.value
+    # weights[k] = ln_gamma(beta*k + 1); slot 0 is never read.  Concurrent
+    # callers can only write the same value into the same slot.
+    weights = [None] * (min(last, _INF_TERM_CAP) + 1)
+
+    def weight(k: int) -> float:
+        if k >= len(weights):
+            return ln_gamma(beta * k + 1.0)
+        w = weights[k]
+        if w is None:
+            w = weights[k] = ln_gamma(beta * k + 1.0)
+        return w
+
+    def series(z: float) -> float:
+        log_abs_z = math.log(abs(z))
+        negative = z < 0.0
+        total = 1.0
+        abs_sum = 1.0
+        for k in range(1, last + 1):
+            try:
+                mag = math.exp(k * log_abs_z - weight(k))
+            except OverflowError:
+                raise ConvergenceError(
+                    f"Mittag-Leffler term overflowed at k={k} (z={z}, beta={beta})"
+                ) from None
+            if infinite and mag < _INF_TAIL_REL * abs_sum:
+                break
+            total += -mag if negative and k % 2 == 1 else mag
+            abs_sum += mag
+        else:
+            if infinite:
+                raise ConvergenceError(
+                    f"Mittag-Leffler series did not converge within {_INF_TERM_CAP} terms "
+                    f"(z={z}, beta={beta})"
+                )
+        if not math.isfinite(total):
+            raise ConvergenceError(f"Mittag-Leffler sum overflowed (z={z}, beta={beta})")
+        if infinite and negative and abs_sum > _CANCELLATION_LIMIT * abs(total):
+            raise ConvergenceError(
+                f"alternating Mittag-Leffler sum lost too much precision to cancellation "
+                f"(z={z}, beta={beta}); no double-precision summation of this series is reliable here"
+            )
+        return total
+
+    def kernel(z: float) -> float:
+        if not isinstance(z, (int, float)) or isinstance(z, bool):
+            raise ValidationError(f"z must be a real number, got {z!r}")
+        z = float(z)
+        if not math.isfinite(z):
+            raise DomainError(f"z must be finite, got {z}")
+        if z == 0.0:
+            return 1.0
+        if infinite and z < 0.0 and beta == 1.0:
+            return 1.0 / series(-z)
+        return series(z)
+
+    return kernel
 
 
 def ml_truncated(z: float, p: MLParams) -> float:
     """Sum of z^k / Gamma(beta*k + 1) for k = 0..i, the truncated Mittag-Leffler value.
 
-    Terms are built as sign(z)^k * exp(k*ln|z| - ln_gamma(beta*k + 1)).  With an
-    infinite truncation the summation stops once the next term drops below
-    1e-16 of the running absolute sum; needing more than 500 terms, or a term
-    overflowing, raises ConvergenceError.  Alternating sums (z < 0) that would
-    cancel away more than the target accuracy also raise ConvergenceError,
-    except for beta = 1 where exp(z) = 1/exp(-z) reflects the evaluation onto
-    the well-conditioned positive side.
+    One-shot form of ``ml_kernel(p)(z)``; see ml_kernel for the accuracy and
+    error contract.  Evaluating many arguments with one ``MLParams`` is
+    cheaper through a single ml_kernel.
     """
-    if not isinstance(z, (int, float)) or isinstance(z, bool):
-        raise ValidationError(f"z must be a real number, got {z!r}")
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got {z}")
-    if z == 0.0:
-        return 1.0
-    if p.trunc.is_infinite:
-        if z < 0.0 and p.beta == 1.0:
-            return 1.0 / _infinite_sum(-z, 1.0)
-        return _infinite_sum(z, p.beta)
-    log_abs_z = math.log(abs(z))
-    negative = z < 0.0
-    total = 1.0
-    for k in range(1, p.trunc.value + 1):
-        mag = _term_magnitude(log_abs_z, p.beta, k)
-        total += -mag if negative and k % 2 == 1 else mag
-    return total
-
-
-def _infinite_sum(z: float, beta: float) -> float:
-    log_abs_z = math.log(abs(z))
-    negative = z < 0.0
-    total = 1.0
-    abs_sum = 1.0
-    for k in range(1, _INF_TERM_CAP + 1):
-        mag = _term_magnitude(log_abs_z, beta, k)
-        if not math.isfinite(mag):
-            raise ConvergenceError(
-                f"Mittag-Leffler term overflowed at k={k} (z={z}, beta={beta})"
-            )
-        if mag < _INF_TAIL_REL * abs_sum:
-            break
-        total += -mag if negative and k % 2 == 1 else mag
-        abs_sum += mag
-    else:
-        raise ConvergenceError(
-            f"Mittag-Leffler series did not converge within {_INF_TERM_CAP} terms "
-            f"(z={z}, beta={beta})"
-        )
-    if negative and abs_sum > _CANCELLATION_LIMIT * abs(total):
-        raise ConvergenceError(
-            f"alternating Mittag-Leffler sum lost too much precision to cancellation "
-            f"(z={z}, beta={beta}); no double-precision summation of this series is reliable here"
-        )
-    return total
+    return ml_kernel(p)(z)

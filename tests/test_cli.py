@@ -174,6 +174,76 @@ class TestOverflow:
         assert proc.stdout == ""
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--L", "1e-160", "--k", "1", "--f", "x*(1e-160-x)", "--t", "1"],
+            ["--L", "1", "--k", "1e308", "--f", "x*(1-x)", "--t", "0"],
+        ],
+        ids=["tiny-L", "huge-k"],
+    )
+    def test_heat_decay_rate_overflow_exits_one(self, tmp_path, flags):
+        out_path = tmp_path / "o.csv"
+        proc = run_module("heat", *flags, "--alpha", "0.5", "--beta", "1", "--n-terms", "3",
+                          "--x-points", "3", "--output", str(out_path))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "decay rate of mode n=1" in proc.stderr
+        assert not out_path.exists()
+
+    def test_finite_truncation_overflow_exits_two(self):
+        proc = run_module("ml-eval", "--z", "1000", "--beta", "0.1", "--i", "400")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "overflowed" in proc.stderr
+        assert proc.stdout == ""
+
+
+class TestParserReuse:
+    """`main` reuses one parser per process; no call may see another's flags."""
+
+    def test_heat_columns_do_not_carry_over(self, tmp_path, capsys):
+        def heat(name, *alphas):
+            path = tmp_path / name
+            flags = [arg for a in alphas for arg in ("--alpha", a)]
+            code, _, _ = run_cli(capsys, "heat", "--L", "1", "--k", "0.01", "--beta", "1",
+                                 "--f", "x*(1-x)", "--n-terms", "3", "--t", "1",
+                                 "--x-points", "3", "--output", str(path), *flags)
+            assert code == 0
+            return read_csv(path)[0]
+
+        assert heat("three.csv", "0.4", "0.6", "0.8") == [
+            "x", "u_alpha_0.4", "u_alpha_0.6", "u_alpha_0.8"]
+        assert heat("one.csv", "0.5") == ["x", "u_alpha_0.5"]
+
+    def test_ode_times_do_not_carry_over(self, capsys):
+        common = ["ode", "--mu-sq", "1", "--sign", "plus", "--c", "1",
+                  "--alpha", "0.5", "--beta", "1"]
+        code, out, _ = run_cli(capsys, *common, "--t", "0.5", "--t", "1")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0.5", "1"]
+        code, out, _ = run_cli(capsys, *common)
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1"]
+
+    def test_bad_flag_leaves_the_next_call_intact(self, capsys):
+        assert run_cli(capsys, "deriv", "--f", "t^2", "--alpha", "0.5", "--nope", "1")[0] == 1
+        argv = ["compare", "--f", "t^2+sin(t)", "--alpha", "0.5", "--t", "1.5"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == run_module(*argv).stdout
+
+    def test_import_builds_no_parser(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mfrac.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import mfrac.cli; print(mfrac.cli.build_parser.cache_info().currsize)"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+
 class TestIntegrate:
     def test_weight_cancellation(self, capsys):
         code, out, _ = run_cli(

@@ -88,6 +88,14 @@ class TestWeightedIntegral:
         r = mfrac_integral(as_fn(parse("x*(1-x)")), 0.0, 1.0, fp(alpha, 1.5))
         assert_close(r.value, expected, 1e-10)
 
+    def test_singular_origin_alpha_near_one(self):
+        # Substituting x = u^(1/alpha) leaves a u^1.153 term here, and the
+        # single-panel Gauss-Kronrod gap on it is 75x below the true error
+        # (7.4e-8).  Reference: mpmath tanh-sinh quadrature at 30 digits.
+        f = as_fn(parse("-1.15*exp(0.73*x)*sin(0.1*x) - 2.19*sqrt(1+x^2)"))
+        r = mfrac_integral(f, 0.0, 2.7979, fp(0.8674, 1.0))
+        assert_close(r.value, -12.426740772873952, 1e-10 * 12.43)
+
     def test_additivity(self):
         f = as_fn(parse("sin(x)"))
         p = fp(0.4, 1.3)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from _support import assert_close, classical_heat_series
-from mfrac.errors import ValidationError
+from mfrac.errors import DomainError, ValidationError
 from mfrac.expr import parse
 from mfrac.fracderiv import FracParams
 from mfrac.heat import (
@@ -112,6 +112,17 @@ class TestSolveHeat:
     def test_coefficient_override_length_checked(self):
         with pytest.raises(ValidationError):
             solve_heat(paper_problem(n_terms=5), coefficients=(1.0, 2.0))
+
+    @pytest.mark.parametrize("length, k, mode", [
+        (1e-160, 1.0, 1),  # (n*pi/L)**2 raises OverflowError
+        (3e-154, 1.0, 2),  # mode 1 still fits, mode 2 does not
+        (1.0, 1e308, 1),  # the product overflows to inf without raising
+    ])
+    def test_overflowing_decay_rate_is_a_domain_error(self, length, k, mode):
+        prob = HeatProblem(L=length, k=k, alpha=1.0, beta=1.0,
+                           initial_profile=parse(f"x*({length!r}-x)"), n_terms=3)
+        with pytest.raises(DomainError, match=f"n={mode}"):
+            solve_heat(prob, coefficients=(1.0, 0.5, 0.25))
 
 
 def plain_series(sol, x, t):

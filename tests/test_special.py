@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 
 from mfrac.errors import ConvergenceError, DomainError, ValidationError
-from mfrac.special import INFINITY, MLParams, TruncationIndex, gamma, ln_gamma, ml_truncated
+from mfrac.special import (
+    INFINITY,
+    MLParams,
+    TruncationIndex,
+    gamma,
+    ln_gamma,
+    ml_kernel,
+    ml_truncated,
+)
 
 
 def params(beta, i=None):
@@ -177,3 +185,68 @@ class TestMlTruncated:
     def test_non_finite_argument_raises(self):
         with pytest.raises(DomainError):
             ml_truncated(float("inf"), params(1.0))
+
+    @pytest.mark.parametrize("z, beta, i", [
+        (1000.0, 0.1, 400),  # a term overflows
+        (710.0, 1.0, 1000),  # every term is finite, the total is not
+        (5.1e5, 2.0, None),  # the same on the infinite path
+    ])
+    def test_overflow_raises_on_every_truncation(self, z, beta, i):
+        with pytest.raises(ConvergenceError, match="overflowed"):
+            ml_truncated(z, params(beta, i))
+
+
+def outcome(fn, z):
+    """fn(z), or the type and message of the ConvergenceError it raises."""
+    try:
+        return fn(z)
+    except ConvergenceError as exc:
+        return ("ConvergenceError", str(exc))
+
+
+class TestMlKernel:
+    @pytest.mark.parametrize("beta, i, zs", [
+        # z = 0, both signs, and on the negative side the reflected beta = 1 path
+        (1.0, None, [0.0, -30.0, -10.0, -1.0, -1e-9, 1e-9, 0.7, 3.0, 10.0]),
+        (0.5, None, [0.0, -4.0, -1.2, -0.5, 0.3, 2.0, 5.0]),  # -4: cancellation
+        (1.0, None, [400.0, 1.0, -2.0]),  # 400: the 500-term cap
+        (0.1, None, [1000.0, 50.0, 0.25, -0.1]),  # overflowing terms
+        (2.0, None, [5.1e5, 3.0, -3.0]),  # overflowing total
+        (0.7, 2000, [0.0, 1e-3, -1e-3, 0.05, -0.05]),  # i above the weight table
+        (1.0, 1000, [710.0, 709.0, -0.5]),  # finite-path total overflow
+        (0.1, 400, [1000.0, 0.5, -0.5]),  # finite-path term overflow
+        (1.0, 1, [-1.0, -0.999, 2.5]),
+        (2.0, 7, [-3.0, 0.0, 1.5]),
+    ])
+    def test_one_kernel_matches_per_call_sums_bitwise(self, beta, i, zs):
+        p = params(beta, i)
+        rng = random.Random(f"{beta}:{i}")
+        zs = zs * 3
+        rng.shuffle(zs)
+        kernel = ml_kernel(p)
+        for z in zs:
+            assert outcome(kernel, z) == outcome(lambda v: ml_truncated(v, p), z), z
+
+    def test_finite_sums_equal_the_plain_term_loop(self):
+        # The weight table must not change a single operation: compare against
+        # the loop sum of sign(z)^k * exp(k*ln|z| - ln_gamma(beta*k + 1)).
+        def plain(z, beta, i):
+            total = 1.0
+            for k in range(1, i + 1):
+                mag = math.exp(k * math.log(abs(z)) - ln_gamma(beta * k + 1.0))
+                total += -mag if z < 0.0 and k % 2 == 1 else mag
+            return total
+
+        rng = random.Random(29)
+        for beta, i in ((0.7, 2000), (1.0, 501), (0.5, 12), (2.0, 3)):
+            kernel = ml_kernel(params(beta, i))
+            for _ in range(20):
+                z = rng.uniform(-0.2, 0.2)
+                assert kernel(z) == plain(z, beta, i), (beta, i, z)
+
+    def test_kernel_validates_its_argument(self):
+        kernel = ml_kernel(params(1.0))
+        with pytest.raises(DomainError):
+            kernel(float("nan"))
+        with pytest.raises(ValidationError):
+            kernel(True)
