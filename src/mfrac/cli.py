@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -53,11 +54,15 @@ class CsvTable:
         return f"{value:.17g}"
 
     def to_csv(self) -> str:
+        number = "{:.17g}".format
         lines = [",".join(self.header)]
         for row in self.rows:
             if len(row) != len(self.header):
                 raise ValidationError("table rows must match the header width")
-            lines.append(",".join(self._cell(v) for v in row))
+            try:
+                lines.append(",".join(map(number, row)))
+            except ValueError:  # a str cell, such as a compare label
+                lines.append(",".join(self._cell(v) for v in row))
         return "\n".join(lines) + "\n"
 
     def write(self, path: str):
@@ -312,10 +317,23 @@ def _heat_setup(config) -> tuple[list[HeatProblem], float, list[float]]:
     return problems, t, xs
 
 
-def _heat_table(problems, t, xs, coefficients) -> CsvTable:
-    solutions = [solve_heat(prob, coefficients=coefficients) for prob in problems]
-    rows = [(x, *cells) for x, cells in zip(xs, series_grid(solutions, xs, t))]
-    return CsvTable(("x", *(_column_label(prob.alpha) for prob in problems)), rows)
+def _heat_tables(groups, t, xs, coefficients) -> list[CsvTable]:
+    """One table per group of problems, with one column per problem.
+
+    Every problem shares L, the profile and hence the coefficients, so one
+    series pass over all columns computes each term c_n * sin(n*pi*x/L) once
+    per grid point.
+    """
+    solutions = [solve_heat(prob, coefficients=coefficients) for group in groups for prob in group]
+    bounds = list(itertools.accumulate((len(group) for group in groups), initial=0))
+    rows = [[] for _ in groups]
+    for x, cells in zip(xs, series_grid(solutions, xs, t)):
+        for table_rows, lo, hi in zip(rows, bounds, bounds[1:]):
+            table_rows.append((x, *cells[lo:hi]))
+    return [
+        CsvTable(("x", *(_column_label(prob.alpha) for prob in group)), table_rows)
+        for group, table_rows in zip(groups, rows)
+    ]
 
 
 def _cmd_heat(args) -> int:
@@ -326,23 +344,24 @@ def _cmd_heat(args) -> int:
         raise ValidationError(f"config key 'output' must be a path, got {config['output']!r}")
     problems, t, xs = _heat_setup(config)
     # The projection depends on neither alpha nor beta; compute it once.
-    table = _heat_table(problems, t, xs, fourier_coeffs(problems[0]))
+    [table] = _heat_tables([problems], t, xs, fourier_coeffs(problems[0]))
     table.write(config["output"])
     return 0
 
 
 def _cmd_figures(args) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
-    coefficients = None
-    for index, beta in _FIGURE_BETAS:
+    groups = []
+    for _, beta in _FIGURE_BETAS:
         problems, t, xs = _heat_setup({
             "L": 1.0, "k": 0.003, "alpha": list(_FIGURE_ALPHAS), "beta": beta,
             "f": _FIGURE_PROFILE, "n_terms": 51, "t": 150.0, "x_points": 201,
         })
-        if coefficients is None:
-            # All three figures share the profile, so one projection serves them.
-            coefficients = fourier_coeffs(problems[0])
-        table = _heat_table(problems, t, xs, coefficients)
+        groups.append(problems)
+    # The figures differ only in beta: one projection and one series pass
+    # serve all three.
+    tables = _heat_tables(groups, t, xs, fourier_coeffs(groups[0][0]))
+    for (index, _), table in zip(_FIGURE_BETAS, tables):
         table.write(os.path.join(args.output_dir, f"figure{index}.csv"))
     return 0
 

@@ -71,27 +71,143 @@ class HeatProblem:
                 )
 
 
+# The 64-point Gauss-Legendre rule on [-1, 1]: the positive nodes and their
+# weights (the rule is symmetric), correctly rounded from a 60-digit Newton
+# solve of P_64(x) = 0.  It integrates polynomials of degree up to 127 exactly.
+_XGL = (
+    0.9993050417357722,
+    0.9963401167719553,
+    0.9910133714767443,
+    0.983336253884626,
+    0.973326827789911,
+    0.9610087996520538,
+    0.9464113748584028,
+    0.9295691721319396,
+    0.9105221370785028,
+    0.8893154459951141,
+    0.8659993981540928,
+    0.8406292962525803,
+    0.8132653151227975,
+    0.7839723589433414,
+    0.7528199072605319,
+    0.7198818501716109,
+    0.6852363130542333,
+    0.6489654712546573,
+    0.6111553551723933,
+    0.571895646202634,
+    0.5312794640198946,
+    0.48940314570705296,
+    0.4463660172534641,
+    0.4022701579639916,
+    0.3572201583376681,
+    0.31132287199021097,
+    0.2646871622087674,
+    0.21742364374000708,
+    0.16964442042399283,
+    0.12146281929612056,
+    0.07299312178779904,
+    0.024350292663424433,
+)
+_WGL = (
+    0.001783280721696433,
+    0.004147033260562468,
+    0.006504457968978363,
+    0.008846759826363947,
+    0.011168139460131128,
+    0.013463047896718643,
+    0.015726030476024718,
+    0.017951715775697343,
+    0.02013482315353021,
+    0.022270173808383253,
+    0.024352702568710874,
+    0.02637746971505466,
+    0.028339672614259483,
+    0.030234657072402478,
+    0.03205792835485155,
+    0.033805161837141606,
+    0.035472213256882386,
+    0.03705512854024005,
+    0.038550153178615626,
+    0.03995374113272034,
+    0.04126256324262353,
+    0.04247351512365359,
+    0.04358372452932345,
+    0.044590558163756566,
+    0.04549162792741814,
+    0.046284796581314416,
+    0.04696818281621002,
+    0.04754016571483031,
+    0.04799938859645831,
+    0.048344762234802954,
+    0.04857546744150343,
+    0.048690957009139724,
+)
+# Panel counts 1, 2, 4: a mode needs two consecutive levels to agree.
+_GAUSS_LEVELS = 3
+
+
+def _gauss_samples(profile, length: float, panels: int) -> list[tuple[float, float]]:
+    """The pairs (w_j * f(x_j), x_j) of the composite 64-point Gauss-Legendre
+    rule with ``panels`` equal panels over [0, length]."""
+    half = 0.5 * length / panels
+    pairs = []
+    for p in range(panels):
+        center = (2 * p + 1) * half
+        for node, weight in zip(_XGL, _WGL):
+            offset = half * node
+            for x in (center - offset, center + offset):
+                pairs.append((half * weight * profile(x), x))
+    return pairs
+
+
 def fourier_coeffs(prob: HeatProblem) -> list[float]:
     """Sine-projection coefficients c_n = (2/L) * integral of f(x) sin(n pi x / L).
 
-    Each coefficient carries an absolute quadrature error of at most 1e-12.
-    The coefficients depend only on the profile, L, and N, never on alpha or
-    beta.
+    A composite 64-point Gauss-Legendre rule on 1, then 2, then 4 equal
+    panels samples the profile once per node for all modes, so each mode
+    costs only its sines and multiply-adds.  A coefficient is accepted when
+    two consecutive panel counts agree within 1e-12 and takes the finer
+    value; for an analytic profile the rule converges geometrically, so that
+    difference overstates the finer value's error by orders of magnitude.  A
+    mode still unsettled at 4 panels (a profile with a kink or an endpoint
+    singularity, or a mode too oscillatory for the rule) falls back to its
+    own adaptive Gauss-Kronrod quadrature with an absolute error estimate of
+    1e-12, which raises ToleranceNotMetError when its subdivision budget runs
+    out.  The coefficients depend only on the profile, L, and N, never on
+    alpha or beta.
     """
-    coeffs = []
-    freq = math.pi / prob.L
-    front = 2.0 / prob.L
-    raw_tol = _COEFF_ABS_TOL / front
+    length = prob.L
+    freq = math.pi / length
+    front = 2.0 / length
     profile = as_fn(prob.initial_profile)
-    for n in range(1, prob.n_terms + 1):
+    coeffs = [0.0] * prob.n_terms
+    pending = range(1, prob.n_terms + 1)
+    previous = {}
+    for level in range(_GAUSS_LEVELS):
+        nodes = _gauss_samples(profile, length, 2**level)
+        current = {}
+        for n in pending:
+            w = n * freq
+            current[n] = front * sum([s * math.sin(w * x) for s, x in nodes])
+        pending = []
+        for n, value in current.items():
+            if n in previous and abs(value - previous[n]) <= _COEFF_ABS_TOL:
+                coeffs[n - 1] = value
+            else:
+                pending.append(n)
+        if not pending:
+            return coeffs
+        previous = current
+    raw_tol = _COEFF_ABS_TOL / front
+    for n in pending:
         integrand = lambda x, w=n * freq: profile(x) * math.sin(w * x)
         try:
-            result = integrate_adaptive(integrand, 0.0, prob.L, abs_tol=raw_tol, rel_tol=0.0)
+            result = integrate_adaptive(integrand, 0.0, length, abs_tol=raw_tol, rel_tol=0.0)
         except ToleranceNotMetError as exc:
             raise ToleranceNotMetError(
                 f"coefficient n={n} did not reach tolerance: {exc}", best=exc.best
             ) from None
-        coeffs.append(front * result.value)
+        coeffs[n - 1] = front * result.value
     return coeffs
 
 

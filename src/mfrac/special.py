@@ -138,7 +138,9 @@ def ml_kernel(p: MLParams) -> Callable[[float], float]:
     more than the target accuracy also raise ConvergenceError, except for
     beta = 1 where exp(z) = 1/exp(-z) reflects the evaluation onto the
     well-conditioned positive side.  With any truncation, a term or a total
-    that overflows raises ConvergenceError.
+    that overflows raises ConvergenceError.  A finite truncation stops at the
+    first term that underflows to 0.0, since every later term is 0.0 as well,
+    so its cost does not grow with i beyond that point.
     """
     beta = p.beta
     infinite = p.trunc.is_infinite
@@ -167,7 +169,9 @@ def ml_kernel(p: MLParams) -> Callable[[float], float]:
                 raise ConvergenceError(
                     f"Mittag-Leffler term overflowed at k={k} (z={z}, beta={beta})"
                 ) from None
-            if infinite and mag < _INF_TAIL_REL * abs_sum:
+            # k*ln|z| - ln_gamma(beta*k + 1) is concave in k and 0 at k = 0,
+            # so once a term underflows to 0.0 every later term does too.
+            if mag == 0.0 or (infinite and mag < _INF_TAIL_REL * abs_sum):
                 break
             total += -mag if negative and k % 2 == 1 else mag
             abs_sum += mag

@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -42,6 +44,18 @@ class TestCsvTable:
         table = CsvTable(("a",), [(value,)])
         assert float(table.to_csv().splitlines()[1]) == value
 
+    def test_cells_match_per_cell_formatting(self):
+        rng = random.Random(17)
+        values = [0.0, -0.0, 1, -7, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+        values += [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300) for _ in range(199)]
+        numbers = CsvTable(("a", "b", "c", "d"), [tuple(values[i:i + 4]) for i in range(0, 208, 4)])
+        mixed = CsvTable(("a", "b", "c"), [("label", 0.1, -3), (0.5, "mid", 2.0), ("a", "b", "c")])
+        for table in (numbers, mixed):
+            plain = [",".join(table.header)]
+            plain += [",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row)
+                      for row in table.rows]
+            assert table.to_csv() == "\n".join(plain) + "\n"
+
     def test_rectangularity_enforced(self):
         from mfrac.errors import ValidationError
 
@@ -75,6 +89,15 @@ class TestMlEval:
         assert code == 1
         code, _, _ = run_cli(capsys, "ml-eval", "--z", "1", "--beta", "1", "--i", "-3")
         assert code == 1
+
+    def test_huge_finite_truncation_stops_at_underflow(self):
+        start = time.perf_counter()
+        proc = run_module("ml-eval", "--z", "0.5", "--beta", "1", "--i", "1000000")
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0
+        assert float(proc.stdout) == pytest.approx(math.exp(0.5), rel=1e-15)
+        # Summing all 10^6 terms took over 3 s; the first zero term is k = 157.
+        assert elapsed < 1.0
 
 
 class TestDeriv:
@@ -437,6 +460,20 @@ class TestFigures:
         assert code == 0
         assert len(calls) == 1
         assert sorted(os.listdir(tmp_path)) == ["figure1.csv", "figure2.csv", "figure3.csv"]
+
+    def test_one_series_pass_equals_one_pass_per_figure(self):
+        groups = []
+        for beta in (0.5, 1.0, 2.0):
+            problems, t, xs = cli._heat_setup({
+                "L": 1.3, "k": 0.01, "alpha": [0.3, 0.7, 1.0], "beta": beta,
+                "f": "x*(1.3-x)*exp(x)", "n_terms": 17, "t": 2.5, "x_points": 41,
+            })
+            groups.append(problems)
+        coefficients = cli.fourier_coeffs(groups[0][0])
+        together = cli._heat_tables(groups, t, xs, coefficients)
+        for group, table in zip(groups, together):
+            [alone] = cli._heat_tables([group], t, xs, coefficients)
+            assert table == alone
 
     def test_io_error_exits_three(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -7,9 +7,11 @@ from dataclasses import replace
 import pytest
 
 from _support import assert_close, classical_heat_series
+from mfrac import heat
 from mfrac.errors import DomainError, ValidationError
-from mfrac.expr import parse
+from mfrac.expr import as_fn, parse
 from mfrac.fracderiv import FracParams
+from mfrac.fracint import integrate_adaptive
 from mfrac.heat import (
     HeatProblem,
     fourier_coeffs,
@@ -67,6 +69,81 @@ class TestFourierCoefficients:
         a = fourier_coeffs(paper_problem(alpha=0.3, beta=0.5, n_terms=5))
         b = fourier_coeffs(paper_problem(alpha=0.9, beta=2.0, n_terms=5))
         assert a == b
+
+
+def adaptive_coeffs(prob):
+    """The per-mode adaptive Gauss-Kronrod projection, the fallback of fourier_coeffs."""
+    profile = as_fn(prob.initial_profile)
+    front = 2.0 / prob.L
+    coeffs = []
+    for n in range(1, prob.n_terms + 1):
+        integrand = lambda x, w=n * (math.pi / prob.L): profile(x) * math.sin(w * x)
+        result = integrate_adaptive(integrand, 0.0, prob.L, abs_tol=1e-12 / front, rel_tol=0.0)
+        coeffs.append(front * result.value)
+    return coeffs
+
+
+def counting_fallbacks(monkeypatch):
+    calls = []
+    quad = heat.integrate_adaptive
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(heat, "integrate_adaptive", counting)
+    return calls
+
+
+class TestGaussProjection:
+    def test_rule_weights_sum_to_two(self):
+        assert abs(2.0 * sum(heat._WGL) - 2.0) <= 1e-15
+        assert len(heat._XGL) == len(heat._WGL) == 32
+        assert all(0.0 < x < 1.0 for x in heat._XGL)
+
+    def test_rule_integrates_polynomials_of_degree_127_exactly(self):
+        for k in range(128):
+            pairs = heat._gauss_samples(lambda x, k=k: x**k, 1.0, 1)
+            assert abs(sum(s for s, _ in pairs) - 1.0 / (k + 1)) <= 1e-14, k
+
+    @pytest.mark.parametrize("n_terms", [51, 200])
+    def test_logistic_profile_against_exact_coefficients(self, n_terms):
+        coeffs = fourier_coeffs(paper_problem(n_terms=n_terms))
+        for n, c in enumerate(coeffs, start=1):
+            expected = 400.0 / (n * math.pi) ** 3 if n % 2 == 1 else 0.0
+            assert abs(c - expected) <= 1e-12, n
+
+    def test_figure_profile_needs_no_adaptive_quadrature(self, monkeypatch):
+        calls = counting_fallbacks(monkeypatch)
+        fourier_coeffs(paper_problem(n_terms=51))
+        assert calls == []
+
+    def test_smooth_profiles_match_the_adaptive_projection(self):
+        rng = random.Random(61)
+        problems = [HeatProblem(L=1.0, k=0.003, alpha=0.5, beta=1.0,
+                                initial_profile=parse("exp(x)*sin(3.141592653589793*x)"),
+                                n_terms=51)]
+        for _ in range(6):
+            length = rng.uniform(0.3, 4.0)
+            amp = rng.uniform(-3.0, 3.0)
+            mode = rng.randint(1, 8)
+            text = f"{amp!r}*sin({mode}*3.141592653589793*x/{length!r})"
+            problems.append(HeatProblem(L=length, k=0.003, alpha=0.5, beta=1.0,
+                                        initial_profile=parse(text),
+                                        n_terms=rng.randint(11, 31)))
+        for prob in problems:
+            got = fourier_coeffs(prob)
+            want = adaptive_coeffs(prob)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, prob.initial_profile
+
+    def test_unsettled_modes_fall_back_to_the_adaptive_values_bitwise(self, monkeypatch):
+        # sqrt(x) has an endpoint singularity: no panel count settles a mode.
+        prob = HeatProblem(L=1.0, k=0.003, alpha=0.5, beta=1.0,
+                           initial_profile=parse("sqrt(x)*(1-x)"), n_terms=51)
+        want = adaptive_coeffs(prob)
+        calls = counting_fallbacks(monkeypatch)
+        assert fourier_coeffs(prob) == want
+        assert len(calls) == 51
 
 
 class TestSolveHeat:

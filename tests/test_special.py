@@ -204,6 +204,15 @@ def outcome(fn, z):
         return ("ConvergenceError", str(exc))
 
 
+def plain_term_loop(z, beta, i):
+    """The finite kernel sum, every term from k = 1 to i added in order."""
+    total = 1.0
+    for k in range(1, i + 1):
+        mag = math.exp(k * math.log(abs(z)) - ln_gamma(beta * k + 1.0))
+        total += -mag if z < 0.0 and k % 2 == 1 else mag
+    return total
+
+
 class TestMlKernel:
     @pytest.mark.parametrize("beta, i, zs", [
         # z = 0, both signs, and on the negative side the reflected beta = 1 path
@@ -230,19 +239,23 @@ class TestMlKernel:
     def test_finite_sums_equal_the_plain_term_loop(self):
         # The weight table must not change a single operation: compare against
         # the loop sum of sign(z)^k * exp(k*ln|z| - ln_gamma(beta*k + 1)).
-        def plain(z, beta, i):
-            total = 1.0
-            for k in range(1, i + 1):
-                mag = math.exp(k * math.log(abs(z)) - ln_gamma(beta * k + 1.0))
-                total += -mag if z < 0.0 and k % 2 == 1 else mag
-            return total
-
         rng = random.Random(29)
         for beta, i in ((0.7, 2000), (1.0, 501), (0.5, 12), (2.0, 3)):
             kernel = ml_kernel(params(beta, i))
             for _ in range(20):
                 z = rng.uniform(-0.2, 0.2)
-                assert kernel(z) == plain(z, beta, i), (beta, i, z)
+                assert kernel(z) == plain_term_loop(z, beta, i), (beta, i, z)
+
+    def test_finite_sums_past_underflow_equal_the_plain_term_loop(self):
+        # The kernel stops at the first term that underflows to 0.0; the plain
+        # loop adds every term up to i.  The sums must agree bit for bit.
+        rng = random.Random(41)
+        for _ in range(12):
+            beta = rng.uniform(0.5, 3.0)
+            z = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 1.3)
+            i = rng.randint(1500, 4000)
+            assert math.exp(i * math.log(abs(z)) - ln_gamma(beta * i + 1.0)) == 0.0
+            assert ml_kernel(params(beta, i))(z) == plain_term_loop(z, beta, i), (beta, z, i)
 
     def test_kernel_validates_its_argument(self):
         kernel = ml_kernel(params(1.0))
