@@ -11,13 +11,10 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
-import math
 import os
 import sys
-from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, ValidationError
+from .errors import ConvergenceError, DomainError, Record, ValidationError, require_real
 from .expr import as_dual_fn, as_fn, parse
 from .fracderiv import (
     DerivFamily,
@@ -40,12 +37,13 @@ _FIGURE_BETAS = ((1, 0.5), (2, 1.0), (3, 2.0))
 _FIGURE_PROFILE = "50*x*(1-x)"
 
 
-@dataclass
-class CsvTable:
+class CsvTable(Record):
     """Rectangular table rendered as deterministic CSV text."""
 
-    header: tuple[str, ...]
-    rows: list[tuple]
+    __slots__ = ("header", "rows")
+
+    def __init__(self, header: tuple[str, ...], rows: list[tuple]):
+        super().__init__(header, rows)
 
     @staticmethod
     def _cell(value) -> str:
@@ -227,6 +225,8 @@ _HEAT_KEYS = ("L", "k", "alpha", "beta", "f", "n_terms", "t", "x_points", "outpu
 def _load_heat_config(args) -> dict:
     config = dict(_HEAT_DEFAULTS)
     if args.config is not None:
+        import json  # imported here, so that a run without a config never loads it
+
         with open(args.config, "r", encoding="utf-8") as handle:
             try:
                 loaded = json.load(handle)
@@ -257,9 +257,7 @@ def _require_number(config, key, *, integer=False):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValidationError(f"config key '{key}' must be an integer, got {value!r}")
         return value
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise ValidationError(f"config key '{key}' must be a finite number, got {value!r}")
-    return float(value)
+    return float(require_real(f"config key '{key}'", value))
 
 
 def _column_label(alpha: float) -> str:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types, the immutable record base and the real-number check shared
+across the package."""
+
+import math
 
 
 class MfracError(Exception):
@@ -27,3 +30,68 @@ class ToleranceNotMetError(ConvergenceError):
     def __init__(self, message, best):
         super().__init__(message)
         self.best = best
+
+
+def require_real(name: str, value):
+    """Return ``value`` unchanged when it is a finite int or float.
+
+    Anything else, bool included, raises ValidationError naming ``name``.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return value
+        except OverflowError:  # an int beyond the range of a double
+            pass
+    raise ValidationError(f"{name} must be a finite real, got {value!r}")
+
+
+class Record:
+    """Base of the package's immutable value classes.
+
+    A record's fields are the names in its own ``__slots__``, in order.  Its
+    ``__init__`` validates the arguments and passes the field values, in slot
+    order, to ``Record.__init__``; a class built in bulk, such as an
+    expression node, sets each slot with ``object.__setattr__`` instead,
+    which skips the variadic call.  The base supplies what the fields
+    determine: equality and hashing by class and field values, the repr
+    ``Name(field=value, ...)``, ``__match_args__`` for positional ``match``
+    patterns, and pickling.  Assigning or deleting an attribute raises
+    AttributeError.  To change a field, build a new record.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__slots__" not in cls.__dict__:
+            raise TypeError(f"record class {cls.__name__} must declare __slots__")
+        cls.__match_args__ = tuple(cls.__slots__)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__match_args__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

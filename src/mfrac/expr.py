@@ -22,10 +22,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, Record, ValidationError
 
 __all__ = [
     "Add",
@@ -56,61 +55,83 @@ __all__ = [
 MAX_DEPTH = 100
 
 
-class Expr:
-    """Base class for expression-tree nodes."""
+class Expr(Record):
+    """Base class for expression-tree nodes.
+
+    The parser builds nodes in bulk, so each node sets its slots with
+    object.__setattr__ directly instead of through Record.__init__.
+    """
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Constant(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
 class Variable(Expr):
-    pass
+    __slots__ = ()
+
+    def __init__(self):
+        pass
 
 
-@dataclass(frozen=True, slots=True)
 class Add(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
 class Sub(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
 class Mul(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
 class Div(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
 class Pow(Expr):
-    base: Expr
-    exponent: Expr
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: Expr):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Expr):
-    operand: Expr
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Expr):
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True, slots=True)
 class Call(Expr):
-    func: str
-    arg: Expr
+    __slots__ = ("func", "arg")
+
+    def __init__(self, func: str, arg: Expr):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "arg", arg)
 
 
 class ParseError(ValidationError):
@@ -349,12 +370,15 @@ def _pow(base: float, p: float) -> float:
     return base**p
 
 
-@dataclass(frozen=True, slots=True)
-class DualNumber:
+class DualNumber(Record):
     """Value and first derivative propagated together (forward-mode AD)."""
 
-    val: float
-    der: float
+    __slots__ = ("val", "der")
+
+    def __init__(self, val: float, der: float):
+        # Built on every dual operation: set the slots directly, as the nodes do.
+        object.__setattr__(self, "val", val)
+        object.__setattr__(self, "der", der)
 
     def _coerce(self, other) -> "DualNumber":
         if isinstance(other, DualNumber):

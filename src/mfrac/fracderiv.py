@@ -9,10 +9,9 @@ untruncated kernel) that correspond to particular (beta, truncation) choices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, Record, ValidationError, require_real
 from .expr import DualNumber
 from .special import INFINITY, MLParams, TruncationIndex, gamma, ml_kernel
 from .special import ml_truncated  # noqa: F401  (public name; benchmarks/tracer.py wraps it)
@@ -35,41 +34,33 @@ DualFn = Callable[[float], DualNumber]
 RealFn = Callable[[float], float]
 
 
-@dataclass(frozen=True)
-class FracParams:
+class FracParams(Record):
     """Order alpha, kernel weight beta, and truncation index of an operator."""
 
-    alpha: float
-    beta: float
-    trunc: TruncationIndex = INFINITY
+    __slots__ = ("alpha", "beta", "trunc")
 
-    def __post_init__(self):
-        if not isinstance(self.trunc, TruncationIndex):
-            raise ValidationError(f"trunc must be a TruncationIndex, got {self.trunc!r}")
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ValidationError(f"{name} must be a finite real, got {v!r}")
-        if self.alpha <= 0.0:
-            raise ValidationError(f"alpha must be positive, got {self.alpha}")
-        if self.beta <= 0.0:
-            raise ValidationError(f"beta must be positive, got {self.beta}")
+    def __init__(self, alpha: float, beta: float, trunc: TruncationIndex = INFINITY):
+        if not isinstance(trunc, TruncationIndex):
+            raise ValidationError(f"trunc must be a TruncationIndex, got {trunc!r}")
+        if require_real("alpha", alpha) <= 0.0:
+            raise ValidationError(f"alpha must be positive, got {alpha}")
+        if require_real("beta", beta) <= 0.0:
+            raise ValidationError(f"beta must be positive, got {beta}")
+        super().__init__(alpha, beta, trunc)
 
     def ml_params(self) -> MLParams:
         return MLParams(self.beta, self.trunc)
 
 
-@dataclass(frozen=True)
-class LimitEstimate:
+class LimitEstimate(Record):
     """Extrapolated limit value with the smallest step used and an error estimate."""
 
-    value: float
-    eps_used: float
-    extrapolation_error: float
+    __slots__ = ("value", "eps_used", "extrapolation_error")
 
-    def __post_init__(self):
-        if self.extrapolation_error < 0.0:
+    def __init__(self, value: float, eps_used: float, extrapolation_error: float):
+        if extrapolation_error < 0.0:
             raise ValidationError("extrapolation_error must be non-negative")
+        super().__init__(value, eps_used, extrapolation_error)
 
 
 def _check_closed_order(p: FracParams):
@@ -84,8 +75,8 @@ def _check_limit_order(p: FracParams):
 
 
 def _check_point(t: float):
-    if not isinstance(t, (int, float)) or not math.isfinite(t) or t <= 0.0:
-        raise ValidationError(f"t must be a positive finite real, got {t!r}")
+    if require_real("t", t) <= 0.0:
+        raise ValidationError(f"t must be positive, got {t!r}")
 
 
 def deriv_closed(f_dual: DualFn, p: FracParams, t: float) -> float:
@@ -267,13 +258,13 @@ def deriv_higher_limit(
     return _quotient_limit(lambda x: f_derivs(x, n), p, t, n, settle_rel)
 
 
-@dataclass(frozen=True)
-class DerivFamily:
+class DerivFamily(Record):
     """A named (beta, truncation) choice selecting one member of the operator family."""
 
-    label: str
-    beta: float
-    trunc: TruncationIndex
+    __slots__ = ("label", "beta", "trunc")
+
+    def __init__(self, label: str, beta: float, trunc: TruncationIndex):
+        super().__init__(label, beta, trunc)
 
     @classmethod
     def conformable(cls) -> "DerivFamily":
@@ -373,8 +364,7 @@ def mvt_witness(f_dual: DualFn, a: float, b: float, p: FracParams) -> float:
 
 
 def _check_interval(a: float, b: float):
-    for name, v in (("a", a), ("b", b)):
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ValidationError(f"{name} must be a finite real, got {v!r}")
+    require_real("a", a)
+    require_real("b", b)
     if not 0.0 < a < b:
         raise ValidationError(f"the interval needs 0 < a < b, got a={a}, b={b}")

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable
 
-from .errors import ToleranceNotMetError, ValidationError
+from .errors import Record, ToleranceNotMetError, ValidationError, require_real
 from .fracderiv import DualFn, FracParams, RealFn, deriv_closed, deriv_limit
 from .special import gamma
 
@@ -26,23 +24,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(Record):
     """Integral value, an estimate of its absolute error, and the panel count used.
 
     The error estimate is not a bound: on rare integrands the true error
     exceeds it (6.8e-12 has been reported against a true error of 1.2e-10).
     """
 
-    value: float
-    abs_error_estimate: float
-    subdivisions: int
+    __slots__ = ("value", "abs_error_estimate", "subdivisions")
 
-    def __post_init__(self):
-        if self.abs_error_estimate < 0.0:
+    def __init__(self, value: float, abs_error_estimate: float, subdivisions: int):
+        if abs_error_estimate < 0.0:
             raise ValidationError("abs_error_estimate must be non-negative")
-        if self.subdivisions < 1:
+        if subdivisions < 1:
             raise ValidationError("subdivisions must be at least 1")
+        super().__init__(value, abs_error_estimate, subdivisions)
 
 
 # 15-point Kronrod nodes with their weights, plus the embedded 7-point Gauss
@@ -114,9 +110,8 @@ def integrate_adaptive(
     Raises ToleranceNotMetError (carrying the best estimate) when the
     subdivision budget runs out first.
     """
-    for name, v in (("a", a), ("b", b)):
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ValidationError(f"{name} must be a finite real, got {v!r}")
+    require_real("a", a)
+    require_real("b", b)
     if abs_tol < 0.0 or rel_tol < 0.0 or abs_tol == rel_tol == 0.0:
         raise ValidationError("tolerances must be non-negative and not both zero")
     if a == b:
@@ -180,9 +175,8 @@ def mfrac_integral(
     """
     if not 0.0 < p.alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1) for the integral, got {p.alpha}")
-    for name, v in (("a", a), ("t", t)):
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ValidationError(f"{name} must be a finite real, got {v!r}")
+    require_real("a", a)
+    require_real("t", t)
     if a < 0.0:
         raise ValidationError(f"the lower bound must satisfy a >= 0, got {a}")
     if t < a:

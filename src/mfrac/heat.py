@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+import sys
 
-from .errors import DomainError, ToleranceNotMetError, ValidationError
+from .errors import DomainError, Record, ToleranceNotMetError, ValidationError, require_real
 from .expr import Expr, as_fn, evaluate
 from .fracint import integrate_adaptive
 from .special import gamma
@@ -31,44 +31,40 @@ __all__ = [
 ]
 
 _COEFF_ABS_TOL = 1e-12
+# Rounding allowance of a coefficient, in units of eps times its scale.
+_COEFF_ULPS = 64
 _BOUNDARY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class HeatProblem:
+class HeatProblem(Record):
     """Domain length L, diffusivity k, operator orders, initial profile, and
     the series truncation N."""
 
-    L: float
-    k: float
-    alpha: float
-    beta: float
-    initial_profile: Expr
-    n_terms: int = 51
+    __slots__ = ("L", "k", "alpha", "beta", "initial_profile", "n_terms")
 
-    def __post_init__(self):
-        for name in ("L", "k", "alpha", "beta"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ValidationError(f"{name} must be a finite real, got {v!r}")
-        if self.L <= 0.0:
-            raise ValidationError(f"L must be positive, got {self.L}")
-        if self.k <= 0.0:
-            raise ValidationError(f"k must be positive, got {self.k}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValidationError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.beta <= 0.0:
-            raise ValidationError(f"beta must be positive, got {self.beta}")
-        if not isinstance(self.n_terms, int) or isinstance(self.n_terms, bool) or self.n_terms < 1:
-            raise ValidationError(f"n_terms must be a positive integer, got {self.n_terms!r}")
-        if not isinstance(self.initial_profile, Expr):
+    def __init__(
+        self, L: float, k: float, alpha: float, beta: float, initial_profile: Expr,
+        n_terms: int = 51,
+    ):
+        if require_real("L", L) <= 0.0:
+            raise ValidationError(f"L must be positive, got {L}")
+        if require_real("k", k) <= 0.0:
+            raise ValidationError(f"k must be positive, got {k}")
+        if not 0.0 < require_real("alpha", alpha) <= 1.0:
+            raise ValidationError(f"alpha must lie in (0, 1], got {alpha}")
+        if require_real("beta", beta) <= 0.0:
+            raise ValidationError(f"beta must be positive, got {beta}")
+        if not isinstance(n_terms, int) or isinstance(n_terms, bool) or n_terms < 1:
+            raise ValidationError(f"n_terms must be a positive integer, got {n_terms!r}")
+        if not isinstance(initial_profile, Expr):
             raise ValidationError("initial_profile must be an expression tree")
-        for edge in (0.0, self.L):
-            value = evaluate(self.initial_profile, edge)
+        for edge in (0.0, L):
+            value = evaluate(initial_profile, edge)
             if abs(value) > _BOUNDARY_TOL:
                 raise ValidationError(
                     f"initial profile must vanish on the boundary: f({edge}) = {value!r}"
                 )
+        super().__init__(L, k, alpha, beta, initial_profile, n_terms)
 
 
 # The 64-point Gauss-Legendre rule on [-1, 1]: the positive nodes and their
@@ -166,15 +162,19 @@ def fourier_coeffs(prob: HeatProblem) -> list[float]:
     A composite 64-point Gauss-Legendre rule on 1, then 2, then 4 equal
     panels samples the profile once per node for all modes, so each mode
     costs only its sines and multiply-adds.  A coefficient is accepted when
-    two consecutive panel counts agree within 1e-12 and takes the finer
-    value; for an analytic profile the rule converges geometrically, so that
-    difference overstates the finer value's error by orders of magnitude.  A
-    mode still unsettled at 4 panels (a profile with a kink or an endpoint
-    singularity, or a mode too oscillatory for the rule) falls back to its
-    own adaptive Gauss-Kronrod quadrature with an absolute error estimate of
-    1e-12, which raises ToleranceNotMetError when its subdivision budget runs
-    out.  The coefficients depend only on the profile, L, and N, never on
-    alpha or beta.
+    two consecutive panel counts agree within the tolerance and takes the
+    finer value; for an analytic profile the rule converges geometrically, so
+    that difference overstates the finer value's error by orders of
+    magnitude.  A mode still unsettled at 4 panels (a profile with a kink or
+    an endpoint singularity, or a mode too oscillatory for the rule) falls
+    back to its own adaptive Gauss-Kronrod quadrature to the same tolerance,
+    which raises ToleranceNotMetError when its subdivision budget runs out.
+
+    The tolerance is max(1e-12, 64 * eps * (2/L) * sum of |w_j f(x_j)|) over
+    the one-panel samples.  Rounding in every coefficient grows with that
+    scale, so a large profile cannot meet an absolute 1e-12; a profile of
+    order one keeps exactly 1e-12.  The coefficients depend only on the
+    profile, L, and N, never on alpha or beta.
     """
     length = prob.L
     freq = math.pi / length
@@ -185,20 +185,23 @@ def fourier_coeffs(prob: HeatProblem) -> list[float]:
     previous = {}
     for level in range(_GAUSS_LEVELS):
         nodes = _gauss_samples(profile, length, 2**level)
+        if level == 0:
+            scale = front * sum([abs(s) for s, _ in nodes])
+            tol = max(_COEFF_ABS_TOL, _COEFF_ULPS * sys.float_info.epsilon * scale)
         current = {}
         for n in pending:
             w = n * freq
             current[n] = front * sum([s * math.sin(w * x) for s, x in nodes])
         pending = []
         for n, value in current.items():
-            if n in previous and abs(value - previous[n]) <= _COEFF_ABS_TOL:
+            if n in previous and abs(value - previous[n]) <= tol:
                 coeffs[n - 1] = value
             else:
                 pending.append(n)
         if not pending:
             return coeffs
         previous = current
-    raw_tol = _COEFF_ABS_TOL / front
+    raw_tol = tol / front
     for n in pending:
         integrand = lambda x, w=n * freq: profile(x) * math.sin(w * x)
         try:
@@ -211,14 +214,16 @@ def fourier_coeffs(prob: HeatProblem) -> list[float]:
     return coeffs
 
 
-@dataclass(frozen=True)
-class HeatSolution:
+class HeatSolution(Record):
     """Truncated sine-series solution; term n decays like
     exp(-decay_rates[n-1] * t^alpha)."""
 
-    problem: HeatProblem
-    coefficients: tuple[float, ...]
-    decay_rates: tuple[float, ...]
+    __slots__ = ("problem", "coefficients", "decay_rates")
+
+    def __init__(
+        self, problem: HeatProblem, coefficients: tuple[float, ...], decay_rates: tuple[float, ...]
+    ):
+        super().__init__(problem, coefficients, decay_rates)
 
     def evaluate(self, x: float, t: float) -> float:
         """Series value at (x, t); exactly 0 on the boundary."""
@@ -327,8 +332,11 @@ def heat_residual(sol: HeatSolution, x: float, t: float) -> float:
 
 def limit_solutions(prob: HeatProblem) -> tuple[HeatSolution, HeatSolution]:
     """The beta -> 1 solution and the classical alpha = beta = 1 solution."""
-    reduced = solve_heat(replace(prob, beta=1.0))
+    reduced = solve_heat(
+        HeatProblem(prob.L, prob.k, prob.alpha, 1.0, prob.initial_profile, prob.n_terms)
+    )
     classical = solve_heat(
-        replace(prob, beta=1.0, alpha=1.0), coefficients=reduced.coefficients
+        HeatProblem(prob.L, prob.k, 1.0, 1.0, prob.initial_profile, prob.n_terms),
+        coefficients=reduced.coefficients,
     )
     return reduced, classical

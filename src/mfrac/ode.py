@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConvergenceError, DomainError, ValidationError
+from .errors import ConvergenceError, DomainError, Record, ValidationError, require_real
 from .expr import DualNumber
 from .fracderiv import DualFn, FracParams, RealFn, deriv_closed
 from .special import gamma
@@ -40,39 +39,33 @@ class TermSign(enum.Enum):
     MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class LinearOdeProblem:
+class LinearOdeProblem(Record):
     """D v +/- mu^2 v = 0 with v(0+) = c."""
 
-    mu_sq: float
-    sign: TermSign
-    c: float
-    p: FracParams
+    __slots__ = ("mu_sq", "sign", "c", "p")
 
-    def __post_init__(self):
-        if not isinstance(self.sign, TermSign):
-            raise ValidationError(f"sign must be a TermSign, got {self.sign!r}")
-        if not isinstance(self.mu_sq, (int, float)) or not math.isfinite(self.mu_sq):
-            raise ValidationError(f"mu_sq must be a finite real, got {self.mu_sq!r}")
-        if self.mu_sq <= 0.0:
-            raise ValidationError(f"mu_sq must be positive, got {self.mu_sq}")
-        if not isinstance(self.c, (int, float)) or not math.isfinite(self.c):
-            raise ValidationError(f"c must be a finite real, got {self.c!r}")
-        if not 0.0 < self.p.alpha <= 1.0:
-            raise ValidationError(f"alpha must lie in (0, 1], got {self.p.alpha}")
+    def __init__(self, mu_sq: float, sign: TermSign, c: float, p: FracParams):
+        if not isinstance(sign, TermSign):
+            raise ValidationError(f"sign must be a TermSign, got {sign!r}")
+        if require_real("mu_sq", mu_sq) <= 0.0:
+            raise ValidationError(f"mu_sq must be positive, got {mu_sq}")
+        require_real("c", c)
+        if not 0.0 < p.alpha <= 1.0:
+            raise ValidationError(f"alpha must lie in (0, 1], got {p.alpha}")
+        super().__init__(mu_sq, sign, c, p)
 
 
-@dataclass(frozen=True)
-class OdeSolution:
+class OdeSolution(Record):
     """Solution evaluator with its derivative-carrying twin.
 
     ``description`` holds the closed form when one exists, None for sampled
     solutions.
     """
 
-    evaluator: RealFn
-    dual_evaluator: DualFn
-    description: str | None = None
+    __slots__ = ("evaluator", "dual_evaluator", "description")
+
+    def __init__(self, evaluator: RealFn, dual_evaluator: DualFn, description: str | None = None):
+        super().__init__(evaluator, dual_evaluator, description)
 
     def __call__(self, t: float) -> float:
         return self.evaluator(t)
@@ -125,7 +118,7 @@ def _finite(v: float, t: float) -> float:
 
 
 def _check_time(t: float):
-    if not isinstance(t, (int, float)) or not math.isfinite(t) or t <= 0.0:
+    if require_real("t", t) <= 0.0:
         raise DomainError(f"the solution is defined for t > 0, got {t!r}")
 
 
@@ -146,9 +139,9 @@ def solve_general(
         raise ValidationError(f"steps must be an integer >= 4, got {steps!r}")
     if not 0.0 < p.alpha <= 1.0:
         raise ValidationError(f"alpha must lie in (0, 1], got {p.alpha}")
-    for name, v in (("t0", t0), ("v0", v0), ("t1", t1)):
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ValidationError(f"{name} must be a finite real, got {v!r}")
+    require_real("t0", t0)
+    require_real("v0", v0)
+    require_real("t1", t1)
     if not 0.0 < t0 < t1:
         raise ValidationError(f"need 0 < t0 < t1, got t0={t0}, t1={t1}")
 
@@ -175,7 +168,7 @@ def solve_general(
         slopes.append(rhs(t + h, v))
 
     def hermite(t: float) -> tuple[float, float]:
-        if not isinstance(t, (int, float)) or not t0 <= t <= t1:
+        if not t0 <= require_real("t", t) <= t1:
             raise DomainError(f"t={t!r} outside the integrated range [{t0}, {t1}]")
         i = min(int((t - t0) / h), steps - 1)
         s = (t - (t0 + i * h)) / h

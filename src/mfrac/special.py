@@ -7,10 +7,9 @@ accuracy notes below are self-contained and checked by the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConvergenceError, DomainError, ValidationError
+from .errors import ConvergenceError, DomainError, Record, ValidationError, require_real
 
 __all__ = [
     "INFINITY",
@@ -81,19 +80,17 @@ def gamma(x: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class TruncationIndex:
+class TruncationIndex(Record):
     """Number of retained series terms; ``value is None`` keeps the full series."""
 
-    value: int | None = None
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if self.value is None:
-            return
-        if not isinstance(self.value, int) or isinstance(self.value, bool) or self.value < 0:
+    def __init__(self, value: int | None = None):
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 0):
             raise ValidationError(
-                f"truncation index must be a non-negative integer or None, got {self.value!r}"
+                f"truncation index must be a non-negative integer or None, got {value!r}"
             )
+        super().__init__(value)
 
     @property
     def is_infinite(self) -> bool:
@@ -106,21 +103,17 @@ class TruncationIndex:
 INFINITY = TruncationIndex(None)
 
 
-@dataclass(frozen=True)
-class MLParams:
+class MLParams(Record):
     """Shape of the kernel sum: exponent weight beta > 0 plus a truncation index."""
 
-    beta: float
-    trunc: TruncationIndex = INFINITY
+    __slots__ = ("beta", "trunc")
 
-    def __post_init__(self):
-        if not isinstance(self.trunc, TruncationIndex):
-            raise ValidationError(f"trunc must be a TruncationIndex, got {self.trunc!r}")
-        beta = self.beta
-        if not isinstance(beta, (int, float)) or isinstance(beta, bool):
-            raise ValidationError(f"beta must be a real number, got {beta!r}")
-        if not math.isfinite(beta) or not beta > 0.0:
-            raise ValidationError(f"beta must be a positive finite real, got {beta}")
+    def __init__(self, beta: float, trunc: TruncationIndex = INFINITY):
+        if not isinstance(trunc, TruncationIndex):
+            raise ValidationError(f"trunc must be a TruncationIndex, got {trunc!r}")
+        if require_real("beta", beta) <= 0.0:
+            raise ValidationError(f"beta must be positive, got {beta}")
+        super().__init__(beta, trunc)
 
 
 def ml_kernel(p: MLParams) -> Callable[[float], float]:

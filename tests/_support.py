@@ -1,7 +1,12 @@
-"""Shared helpers for the test suite: random instance generators and oracles."""
+"""Shared helpers for the test suite: random instance generators, oracles and
+subprocess runners."""
 
 import math
+import os
+import subprocess
+import sys
 
+import mfrac
 from mfrac.expr import (
     Add,
     Call,
@@ -19,6 +24,20 @@ from mfrac.fracderiv import FracParams
 from mfrac.special import INFINITY, TruncationIndex
 
 X = Variable()
+
+
+def run_python(*args):
+    """Run a separate interpreter with this package on its path, so that an
+    escaping exception shows as a traceback and imports start from nothing."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mfrac.__file__)))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def run_module(*argv):
+    """Run the CLI, ``python -m mfrac ARGV``, in a separate interpreter."""
+    return run_python("-m", "mfrac", *argv)
 
 _TERM_KINDS = ("const", "linear", "square", "cube", "sin", "cos", "exp_half")
 

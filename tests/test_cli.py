@@ -4,14 +4,11 @@ import json
 import math
 import os
 import random
-import subprocess
-import sys
 import time
 
 import pytest
 
-import mfrac
-from _support import classical_heat_series
+from _support import classical_heat_series, run_module, run_python
 from mfrac import cli
 from mfrac.cli import CsvTable, main
 
@@ -20,15 +17,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_module(*argv):
-    """Run the CLI in a separate interpreter, so an escaping exception shows as a traceback."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mfrac.__file__)))
-    return subprocess.run(
-        [sys.executable, "-m", "mfrac", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
 
 
 def read_csv(path):
@@ -257,14 +245,44 @@ class TestParserReuse:
         assert out == run_module(*argv).stdout
 
     def test_import_builds_no_parser(self):
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mfrac.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import mfrac.cli; print(mfrac.cli.build_parser.cache_info().currsize)"],
-            capture_output=True, text=True, env=env, timeout=60,
+        proc = run_python(
+            "-c", "import mfrac.cli; print(mfrac.cli.build_parser.cache_info().currsize)"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0"
+
+
+class TestColdStart:
+    """Importing the CLI loads no module that only some commands need."""
+
+    def test_import_loads_no_dataclasses_inspect_or_json(self):
+        # -S keeps the site hooks of the host environment out of sys.modules.
+        proc = run_python(
+            "-S", "-c",
+            "import sys, mfrac.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_config_file_still_loads(self, tmp_path):
+        out_path = tmp_path / "o.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "L": 1.0, "k": 0.003, "alpha": 0.5, "beta": 1.0, "f": "50*x*(1-x)",
+            "n_terms": 5, "t": 10.0, "x_points": 5, "output": str(out_path),
+        }))
+        proc = run_module("heat", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        assert read_csv(out_path)[0] == ["x", "u_alpha_0.5"]
+
+    def test_bad_json_still_exits_one(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"L": 1.0,')
+        proc = run_module("heat", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "not valid JSON" in proc.stderr
 
 
 class TestIntegrate:
@@ -383,6 +401,20 @@ class TestHeat:
         assert code == 0, err
         _, rows = read_csv(out_path)
         assert rows[-1] == [0.1, 0.0]
+
+    def test_large_profile_meets_its_tolerance(self, tmp_path, capsys):
+        # c_1 is about 2.6e11 here, so an absolute 1e-12 is below one ulp of it.
+        out_path = tmp_path / "o.csv"
+        code, _, err = run_cli(
+            capsys, "heat", "--L", "1e6", "--k", "1", "--alpha", "0.5", "--beta", "1",
+            "--f", "x*(1e6-x)", "--t", "1", "--n-terms", "3", "--x-points", "3",
+            "--output", str(out_path),
+        )
+        assert code == 0, err
+        _, rows = read_csv(out_path)
+        assert [row[0] for row in rows] == [0.0, 5e5, 1e6]
+        assert rows[0][1] == rows[2][1] == 0.0
+        assert math.isfinite(rows[1][1]) and rows[1][1] > 0.0
 
     @pytest.mark.parametrize("key,value", [("t", "NaN"), ("L", "Infinity"), ("k", "-Infinity")])
     def test_non_finite_config_number_rejected(self, tmp_path, capsys, key, value):

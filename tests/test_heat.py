@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -14,6 +13,7 @@ from mfrac.fracderiv import FracParams
 from mfrac.fracint import integrate_adaptive
 from mfrac.heat import (
     HeatProblem,
+    HeatSolution,
     fourier_coeffs,
     heat_residual,
     limit_solutions,
@@ -112,6 +112,30 @@ class TestGaussProjection:
         for n, c in enumerate(coeffs, start=1):
             expected = 400.0 / (n * math.pi) ** 3 if n % 2 == 1 else 0.0
             assert abs(c - expected) <= 1e-12, n
+
+    @pytest.mark.parametrize("n_terms", [3, 51])
+    def test_large_profile_against_exact_coefficients(self, n_terms):
+        # c_1 is about 2.6e11, so an absolute 1e-12 would lie below one ulp of it.
+        length = 1e6
+        prob = HeatProblem(L=length, k=1.0, alpha=0.5, beta=1.0,
+                           initial_profile=parse("x*(1e6-x)"), n_terms=n_terms)
+        c_1 = 8.0 * length**2 / math.pi**3
+        for n, c in enumerate(fourier_coeffs(prob), start=1):
+            expected = 4.0 * length**2 * (1 - (-1) ** n) / (n * math.pi) ** 3
+            assert abs(c - expected) <= 1e-12 * c_1, n
+
+    def test_large_profile_falls_back_with_its_own_scale(self, monkeypatch):
+        # Every mode of sqrt(x)*(L-x) falls back, and stretching x by L = 1e6
+        # multiplies each coefficient by L^1.5.  The unit profile's 1e-12 is
+        # 2.6e-12 of its c_1.
+        unit = fourier_coeffs(HeatProblem(L=1.0, k=1.0, alpha=0.5, beta=1.0,
+                                          initial_profile=parse("sqrt(x)*(1-x)"), n_terms=11))
+        calls = counting_fallbacks(monkeypatch)
+        large = fourier_coeffs(HeatProblem(L=1e6, k=1.0, alpha=0.5, beta=1.0,
+                                           initial_profile=parse("sqrt(x)*(1e6-x)"), n_terms=11))
+        assert len(calls) == 11
+        for a, b in zip(unit, large):
+            assert abs(b - 1e9 * a) <= 1e-11 * 1e9 * unit[0]
 
     def test_figure_profile_needs_no_adaptive_quadrature(self, monkeypatch):
         calls = counting_fallbacks(monkeypatch)
@@ -280,8 +304,8 @@ class TestResidual:
         # equation, so the residual stays at noise level.
         prob = paper_problem(n_terms=5)
         sol = solve_heat(prob)
-        perturbed = replace(
-            sol, coefficients=(sol.coefficients[0] * 1.001,) + sol.coefficients[1:]
+        perturbed = HeatSolution(
+            sol.problem, (sol.coefficients[0] * 1.001,) + sol.coefficients[1:], sol.decay_rates
         )
         u = perturbed.evaluate(0.3, 5.0)
         assert heat_residual(perturbed, 0.3, 5.0) <= 1e-10 * (1.0 + abs(u))
@@ -298,7 +322,9 @@ class TestLimits:
     def test_reduced_beta_matches_direct_solve_bitwise(self):
         prob = paper_problem(alpha=0.6, beta=2.0, n_terms=21)
         reduced, _ = limit_solutions(prob)
-        direct = solve_heat(replace(prob, beta=1.0))
+        direct = solve_heat(
+            HeatProblem(prob.L, prob.k, prob.alpha, 1.0, prob.initial_profile, prob.n_terms)
+        )
         for x in (0.1, 0.5, 0.9):
             for t in (0.0, 1.0, 150.0):
                 assert reduced.evaluate(x, t) == direct.evaluate(x, t)
