@@ -14,7 +14,8 @@ import itertools
 import os
 import sys
 
-from .errors import ConvergenceError, DomainError, Record, ValidationError, require_real
+from .errors import ConvergenceError, DomainError, Record, ValidationError
+from .errors import require_int, require_positive, require_real
 from .expr import as_dual_fn, as_fn, parse
 from .fracderiv import (
     DerivFamily,
@@ -80,14 +81,11 @@ def _trunc_arg(text: str) -> TruncationIndex:
     if text.lower() in ("inf", "infinity"):
         return INFINITY
     try:
-        value = int(text)
-    except ValueError:
+        return TruncationIndex(int(text))
+    except (ValueError, ValidationError):
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer or 'inf', got {text!r}"
         ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"truncation index must be >= 0, got {value}")
-    return TruncationIndex(value)
 
 
 @functools.cache
@@ -238,26 +236,24 @@ def _load_heat_config(args) -> dict:
             if key not in _HEAT_KEYS:
                 raise ValidationError(f"config key '{key}' is not recognized")
         config.update(loaded)
-    overrides = {
-        "L": args.L, "k": args.k, "alpha": args.alpha, "beta": args.beta,
-        "f": args.f, "n_terms": args.n_terms, "t": args.t,
-        "x_points": args.x_points, "output": args.output,
-    }
-    for key, value in overrides.items():
+    for key in _HEAT_KEYS:
+        value = getattr(args, key)
         if value is not None:
             config[key] = value
     return config
 
 
-def _require_number(config, key, *, integer=False):
-    if key not in config:
+def _config_value(config, key, check, *args):
+    """``config[key]`` passed through ``check``, which names it by its key."""
+    if config.get(key) is None:
         raise ValidationError(f"config key '{key}' is required")
-    value = config[key]
-    if integer:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValidationError(f"config key '{key}' must be an integer, got {value!r}")
-        return value
-    return float(require_real(f"config key '{key}'", value))
+    return check(f"config key '{key}'", config[key], *args)
+
+
+def _reals(name, value):
+    """A real or a non-empty list of reals, as a list of floats."""
+    values = value if isinstance(value, list) and value else [value]
+    return [float(require_real(name, v)) for v in values]
 
 
 def _column_label(alpha: float) -> str:
@@ -266,33 +262,19 @@ def _column_label(alpha: float) -> str:
 
 def _heat_setup(config) -> tuple[list[HeatProblem], float, list[float]]:
     """The validated problems of a heat config (one per alpha), its time and its grid."""
-    length = _require_number(config, "L")
-    diffusivity = _require_number(config, "k")
-    beta = _require_number(config, "beta")
-    t = _require_number(config, "t")
-    n_terms = _require_number(config, "n_terms", integer=True)
-    x_points = _require_number(config, "x_points", integer=True)
-    if x_points < 2:
-        raise ValidationError(f"config key 'x_points' must be at least 2, got {x_points}")
+    length = float(_config_value(config, "L", require_positive))
+    diffusivity = float(_config_value(config, "k", require_positive))
+    beta = float(_config_value(config, "beta", require_positive))
+    t = float(_config_value(config, "t", require_real))
+    n_terms = _config_value(config, "n_terms", require_int, 1)
+    x_points = _config_value(config, "x_points", require_int, 2)
     if t < 0:
         raise ValidationError(f"config key 't' must be non-negative, got {t}")
     if "f" not in config:
         raise ValidationError("config key 'f' is required")
     if not isinstance(config["f"], str):
         raise ValidationError(f"config key 'f' must be an expression string, got {config['f']!r}")
-    alphas = config.get("alpha")
-    if alphas is None:
-        raise ValidationError("config key 'alpha' is required")
-    if isinstance(alphas, (int, float)) and not isinstance(alphas, bool):
-        alphas = [float(alphas)]
-    elif isinstance(alphas, list) and alphas and all(
-        isinstance(a, (int, float)) and not isinstance(a, bool) for a in alphas
-    ):
-        alphas = [float(a) for a in alphas]
-    else:
-        raise ValidationError(
-            f"config key 'alpha' must be a number or a non-empty list of numbers, got {alphas!r}"
-        )
+    alphas = _config_value(config, "alpha", _reals)
     labels = [_column_label(a) for a in alphas]
     if len(set(labels)) != len(labels):
         raise ValidationError("config key 'alpha' contains duplicate values")
@@ -302,14 +284,7 @@ def _heat_setup(config) -> tuple[list[HeatProblem], float, list[float]]:
     except ValidationError as exc:
         raise ValidationError(f"config key 'f': {exc}") from None
 
-    def build_problem(alpha):
-        try:
-            return HeatProblem(L=length, k=diffusivity, alpha=alpha, beta=beta,
-                               initial_profile=profile, n_terms=n_terms)
-        except ValidationError as exc:
-            raise ValidationError(f"config key 'alpha': {exc}") from None
-
-    problems = [build_problem(a) for a in alphas]
+    problems = [HeatProblem(length, diffusivity, a, beta, profile, n_terms) for a in alphas]
     # L*(n-1)/(n-1) can round above L; the grid must stay inside [0, L].
     xs = [min(length * i / (x_points - 1), length) for i in range(x_points)]
     return problems, t, xs

@@ -1,5 +1,5 @@
-"""Exception types, the immutable record base and the real-number check shared
-across the package."""
+"""Exception types, the immutable record base and the input checks shared
+across the package: every real and every count is checked here."""
 
 import math
 
@@ -44,6 +44,22 @@ def require_real(name: str, value):
         except OverflowError:  # an int beyond the range of a double
             pass
     raise ValidationError(f"{name} must be a finite real, got {value!r}")
+
+
+def require_positive(name: str, value):
+    """Return ``value`` unchanged when ``require_real`` accepts it and it is > 0;
+    otherwise raise ValidationError naming ``name``."""
+    if require_real(name, value) > 0.0:
+        return value
+    raise ValidationError(f"{name} must be positive, got {value!r}")
+
+
+def require_int(name: str, value, minimum: int):
+    """Return ``value`` unchanged when it is an int, not a bool, and at least
+    ``minimum``; anything else, 2.0 included, raises ValidationError."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= minimum:
+        return value
+    raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class Record:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import DomainError, Record, ValidationError
 

@@ -9,9 +9,10 @@ untruncated kernel) that correspond to particular (beta, truncation) choices.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
-from .errors import ConvergenceError, Record, ValidationError, require_real
+from .errors import ConvergenceError, Record, ValidationError
+from .errors import require_int, require_positive, require_real
 from .expr import DualNumber
 from .special import INFINITY, MLParams, TruncationIndex, gamma, ml_kernel
 from .special import ml_truncated  # noqa: F401  (public name; benchmarks/tracer.py wraps it)
@@ -33,6 +34,15 @@ __all__ = [
 DualFn = Callable[[float], DualNumber]
 RealFn = Callable[[float], float]
 
+# Richardson depth, and the relative settling of a limit and of deriv_at_zero.
+_MAX_LEVELS = 20
+_LIMIT_SETTLE_REL = 1e-6
+_AT_ZERO_SETTLE_REL = 1e-8
+# The witnesses' root scan: points, accepted residual and bisection width.
+_SCAN_POINTS = 1024
+_ROOT_RESIDUAL_TOL = 1e-8
+_ROOT_WIDTH_TOL = 1e-12
+
 
 class FracParams(Record):
     """Order alpha, kernel weight beta, and truncation index of an operator."""
@@ -42,10 +52,8 @@ class FracParams(Record):
     def __init__(self, alpha: float, beta: float, trunc: TruncationIndex = INFINITY):
         if not isinstance(trunc, TruncationIndex):
             raise ValidationError(f"trunc must be a TruncationIndex, got {trunc!r}")
-        if require_real("alpha", alpha) <= 0.0:
-            raise ValidationError(f"alpha must be positive, got {alpha}")
-        if require_real("beta", beta) <= 0.0:
-            raise ValidationError(f"beta must be positive, got {beta}")
+        require_positive("alpha", alpha)
+        require_positive("beta", beta)
         super().__init__(alpha, beta, trunc)
 
     def ml_params(self) -> MLParams:
@@ -63,20 +71,12 @@ class LimitEstimate(Record):
         super().__init__(value, eps_used, extrapolation_error)
 
 
-def _check_closed_order(p: FracParams):
-    # The closed form holds for 0 < alpha <= 1 (alpha = 1 is the classical edge).
-    if not 0.0 < p.alpha <= 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1] for this operator, got {p.alpha}")
-
-
-def _check_limit_order(p: FracParams):
-    if not 0.0 < p.alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1) for this operator, got {p.alpha}")
-
-
-def _check_point(t: float):
-    if require_real("t", t) <= 0.0:
-        raise ValidationError(f"t must be positive, got {t!r}")
+def require_order(alpha, closed: bool):
+    """Return ``alpha`` unchanged when it is a real in (0, 1), or in (0, 1]
+    when ``closed`` admits the classical edge; otherwise raise ValidationError."""
+    if 0.0 < require_real("alpha", alpha) < 1.0 or (closed and alpha == 1.0):
+        return alpha
+    raise ValidationError(f"alpha must lie in (0, 1{']' if closed else ')'}, got {alpha}")
 
 
 def deriv_closed(f_dual: DualFn, p: FracParams, t: float) -> float:
@@ -86,25 +86,25 @@ def deriv_closed(f_dual: DualFn, p: FracParams, t: float) -> float:
     limit definition for every truncation >= 1 (a zero truncation makes the
     kernel sum constant, so that limit is identically 0).
     """
-    _check_closed_order(p)
-    _check_point(t)
+    require_order(p.alpha, closed=True)
+    require_positive("t", t)
     d = f_dual(t)
     return t ** (1.0 - p.alpha) * d.der / gamma(p.beta + 1.0)
 
 
-def _extrapolate_first_order(q, eps0, *, settle_rel, max_levels=20):
+def _extrapolate_first_order(q, eps0):
     """Richardson-extrapolate q(eps) -> q(0) over the schedule eps0 * 2^-j.
 
     Assumes an error expansion in integer powers of eps with a linear leading
     term. Returns (value, last_increment, smallest_eps).  Raises
-    ConvergenceError when the diagonal never settles within settle_rel.
+    ConvergenceError when the diagonal never settles within _LIMIT_SETTLE_REL.
     """
     prev_row = None
     prev_diag = None
     best_val = None
     best_inc = math.inf
     best_eps = eps0
-    for j in range(max_levels + 1):
+    for j in range(_MAX_LEVELS + 1):
         eps = eps0 * 0.5**j
         q_val = q(eps)
         if not math.isfinite(q_val):
@@ -131,7 +131,7 @@ def _extrapolate_first_order(q, eps0, *, settle_rel, max_levels=20):
         prev_row = row
     if best_val is None:
         raise ConvergenceError("extrapolation produced no usable increments")
-    if best_inc > settle_rel * (1.0 + abs(best_val)):
+    if best_inc > _LIMIT_SETTLE_REL * (1.0 + abs(best_val)):
         raise ConvergenceError(
             f"extrapolants failed to settle: increment {best_inc:.3e} "
             f"against value {best_val:.6e}"
@@ -139,7 +139,7 @@ def _extrapolate_first_order(q, eps0, *, settle_rel, max_levels=20):
     return best_val, best_inc, best_eps
 
 
-def _quotient_limit(g: RealFn, p: FracParams, t: float, n: int, settle_rel) -> LimitEstimate:
+def _quotient_limit(g: RealFn, p: FracParams, t: float, n: int) -> LimitEstimate:
     """Extrapolate [g(t * E(eps * t^(n-alpha))) - g(t)] / eps to eps -> 0.
 
     Evaluates the quotient at eps_j = eps0 * 2^-j with eps0 = 1e-2 * t^(alpha-n)
@@ -158,10 +158,10 @@ def _quotient_limit(g: RealFn, p: FracParams, t: float, n: int, settle_rel) -> L
     eps0 = 1e-2 * t ** (p.alpha - n)
     # The defining limit is two-sided; requiring both signs to agree is what
     # lets a jump in g show up as a convergence failure instead of a bogus 0.
-    vp, ip, ep = _extrapolate_first_order(q, eps0, settle_rel=settle_rel)
-    vm, im, em = _extrapolate_first_order(q, -eps0, settle_rel=settle_rel)
+    vp, ip, ep = _extrapolate_first_order(q, eps0)
+    vm, im, em = _extrapolate_first_order(q, -eps0)
     gap = abs(vp - vm)
-    if gap > settle_rel * (1.0 + abs(vp)):
+    if gap > _LIMIT_SETTLE_REL * (1.0 + abs(vp)):
         raise ConvergenceError(
             f"one-sided limits disagree: {vp:.9e} versus {vm:.9e}"
         )
@@ -172,25 +172,25 @@ def _quotient_limit(g: RealFn, p: FracParams, t: float, n: int, settle_rel) -> L
     )
 
 
-def deriv_limit(f: RealFn, p: FracParams, t: float, *, settle_rel=1e-6) -> LimitEstimate:
+def deriv_limit(f: RealFn, p: FracParams, t: float) -> LimitEstimate:
     """Limit-definition derivative: extrapolated quotient [f(t*E(eps*t^-alpha)) - f(t)] / eps.
 
     The steps are eps_j = 1e-2 * t^alpha * 2^-j of both signs.  Raises
-    ConvergenceError when the extrapolants never settle within settle_rel,
-    which is also how a discontinuity of f at t manifests numerically.
+    ConvergenceError when the extrapolants never settle within a relative
+    1e-6, which is also how a discontinuity of f at t manifests numerically.
     """
-    _check_limit_order(p)
-    _check_point(t)
-    return _quotient_limit(f, p, t, 0, settle_rel)
+    require_order(p.alpha, closed=False)
+    require_positive("t", t)
+    return _quotient_limit(f, p, t, 0)
 
 
-def deriv_at_zero(f_dual: DualFn, p: FracParams, *, settle_rel=1e-8) -> float:
+def deriv_at_zero(f_dual: DualFn, p: FracParams) -> float:
     """One-sided derivative at 0, as the limit of deriv_closed(t) for t -> 0+.
 
     Samples t_k = 2^-k for k = 4..40 and extrapolates the sequence with
     iterated Aitken acceleration; a diverging sequence raises ConvergenceError.
     """
-    _check_limit_order(p)
+    require_order(p.alpha, closed=False)
     vals = []
     for k in range(4, 41):
         v = deriv_closed(f_dual, p, 2.0**-k)
@@ -220,18 +220,15 @@ def deriv_at_zero(f_dual: DualFn, p: FracParams, *, settle_rel=1e-8) -> float:
         gap = abs(cur - prev)
         if gap < best_gap:
             best, best_gap = cur, gap
-    if best is None or best_gap > settle_rel * (1.0 + abs(best)):
+    if best is None or best_gap > _AT_ZERO_SETTLE_REL * (1.0 + abs(best)):
         raise ConvergenceError("limit of the derivative at 0 did not settle")
     return best
 
 
 def _check_higher_order(p: FracParams, n: int):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValidationError(f"n must be a non-negative integer, got {n!r}")
+    require_int("n", n, 0)
     if not n < p.alpha <= n + 1:
-        raise ValidationError(
-            f"alpha must lie in ({n}, {n + 1}] for order n={n}, got {p.alpha}"
-        )
+        raise ValidationError(f"alpha must lie in ({n}, {n + 1}] for order n={n}, got {p.alpha}")
 
 
 def deriv_higher(f_derivs: Callable[[float, int], float], p: FracParams, n: int, t: float) -> float:
@@ -241,12 +238,12 @@ def deriv_higher(f_derivs: Callable[[float, int], float], p: FracParams, n: int,
     operator consumes orders n and n+1.
     """
     _check_higher_order(p, n)
-    _check_point(t)
+    require_positive("t", t)
     return t ** (n + 1 - p.alpha) * f_derivs(t, n + 1) / gamma(p.beta + 1.0)
 
 
 def deriv_higher_limit(
-    f_derivs: Callable[[float, int], float], p: FracParams, n: int, t: float, *, settle_rel=1e-6
+    f_derivs: Callable[[float, int], float], p: FracParams, n: int, t: float
 ) -> LimitEstimate:
     """Limit-definition counterpart of deriv_higher for cross-validation.
 
@@ -254,8 +251,8 @@ def deriv_higher_limit(
     same machinery as deriv_limit.
     """
     _check_higher_order(p, n)
-    _check_point(t)
-    return _quotient_limit(lambda x: f_derivs(x, n), p, t, n, settle_rel)
+    require_positive("t", t)
+    return _quotient_limit(lambda x: f_derivs(x, n), p, t, n)
 
 
 class DerivFamily(Record):
@@ -292,18 +289,19 @@ def family_params(fam: DerivFamily, alpha: float) -> FracParams:
     return FracParams(alpha=alpha, beta=fam.beta, trunc=fam.trunc)
 
 
-def _scan_root(g: RealFn, a: float, b: float, *, n_scan=1024, residual_tol=1e-8, width_tol=1e-12):
-    """First point in (a, b) where |g| <= residual_tol, located by a uniform
-    scan followed by sign-change bisection; ties resolve to the smallest c."""
-    ts = [a + (b - a) * i / n_scan for i in range(n_scan + 1)]
+def _scan_root(g: RealFn, a: float, b: float):
+    """First point in (a, b) where |g| <= _ROOT_RESIDUAL_TOL, located by a
+    uniform scan followed by sign-change bisection; ties resolve to the
+    smallest c."""
+    ts = [a + (b - a) * i / _SCAN_POINTS for i in range(_SCAN_POINTS + 1)]
     gs = [g(s) for s in ts]
-    for i in range(n_scan):
-        if i > 0 and abs(gs[i]) <= residual_tol:
+    for i in range(_SCAN_POINTS):
+        if i > 0 and abs(gs[i]) <= _ROOT_RESIDUAL_TOL:
             return ts[i]
         if gs[i] * gs[i + 1] < 0.0:
             lo, hi = ts[i], ts[i + 1]
             g_lo = gs[i]
-            while hi - lo > width_tol:
+            while hi - lo > _ROOT_WIDTH_TOL:
                 mid = 0.5 * (lo + hi)
                 if mid <= lo or mid >= hi:
                     break
@@ -316,7 +314,7 @@ def _scan_root(g: RealFn, a: float, b: float, *, n_scan=1024, residual_tol=1e-8,
                 else:
                     lo, g_lo = mid, g_mid
             c = 0.5 * (lo + hi)
-            if a < c < b and abs(g(c)) <= residual_tol:
+            if a < c < b and abs(g(c)) <= _ROOT_RESIDUAL_TOL:
                 return c
     raise ConvergenceError(
         "no admissible root located by the scan; the preconditions are likely violated"
@@ -330,7 +328,7 @@ def rolle_witness(f_dual: DualFn, a: float, b: float, p: FracParams) -> float:
     continuous f differentiable on (a, b).
     """
     _check_interval(a, b)
-    _check_closed_order(p)
+    require_order(p.alpha, closed=True)
     fa = f_dual(a).val
     fb = f_dual(b).val
     if abs(fa - fb) > 1e-12 * (1.0 + abs(fa)):
@@ -347,7 +345,7 @@ def mvt_witness(f_dual: DualFn, a: float, b: float, p: FracParams) -> float:
     D f(c) = R / Gamma(beta+1).
     """
     _check_interval(a, b)
-    _check_closed_order(p)
+    require_order(p.alpha, closed=True)
     fa = f_dual(a).val
     fb = f_dual(b).val
     spread = (b**p.alpha - a**p.alpha) / p.alpha
@@ -364,7 +362,5 @@ def mvt_witness(f_dual: DualFn, a: float, b: float, p: FracParams) -> float:
 
 
 def _check_interval(a: float, b: float):
-    require_real("a", a)
-    require_real("b", b)
-    if not 0.0 < a < b:
+    if not 0.0 < require_real("a", a) < require_real("b", b):
         raise ValidationError(f"the interval needs 0 < a < b, got a={a}, b={b}")

@@ -11,8 +11,8 @@ from __future__ import annotations
 import heapq
 import math
 
-from .errors import Record, ToleranceNotMetError, ValidationError, require_real
-from .fracderiv import DualFn, FracParams, RealFn, deriv_closed, deriv_limit
+from .errors import Record, ToleranceNotMetError, ValidationError, require_int, require_real
+from .fracderiv import DualFn, FracParams, RealFn, deriv_closed, deriv_limit, require_order
 from .special import gamma
 
 __all__ = [
@@ -22,6 +22,10 @@ __all__ = [
     "integrate_adaptive",
     "mfrac_integral",
 ]
+
+# mfrac_integral's tolerances on the weighted integral.
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-10
 
 
 class QuadratureResult(Record):
@@ -36,8 +40,7 @@ class QuadratureResult(Record):
     def __init__(self, value: float, abs_error_estimate: float, subdivisions: int):
         if abs_error_estimate < 0.0:
             raise ValidationError("abs_error_estimate must be non-negative")
-        if subdivisions < 1:
-            raise ValidationError("subdivisions must be at least 1")
+        require_int("subdivisions", subdivisions, 1)
         super().__init__(value, abs_error_estimate, subdivisions)
 
 
@@ -112,6 +115,10 @@ def integrate_adaptive(
     """
     require_real("a", a)
     require_real("b", b)
+    require_int("max_depth", max_depth, 1)
+    require_int("max_panels", max_panels, 1)
+    require_real("abs_tol", abs_tol)
+    require_real("rel_tol", rel_tol)
     if abs_tol < 0.0 or rel_tol < 0.0 or abs_tol == rel_tol == 0.0:
         raise ValidationError("tolerances must be non-negative and not both zero")
     if a == b:
@@ -152,15 +159,7 @@ def integrate_adaptive(
     return QuadratureResult(total_value, max(total_error, 0.0), panels)
 
 
-def mfrac_integral(
-    f: RealFn,
-    a: float,
-    t: float,
-    p: FracParams,
-    *,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-10,
-) -> QuadratureResult:
+def mfrac_integral(f: RealFn, a: float, t: float, p: FracParams) -> QuadratureResult:
     """Gamma(beta+1) times the integral of f(x) * x^(alpha-1) over [a, t].
 
     Requires 0 < alpha < 1 and 0 <= a <= t.  With a = 0 the integrable
@@ -173,14 +172,9 @@ def mfrac_integral(
     kink for alpha near 1, on which the estimate can fall short of the true
     error by two orders of magnitude.)
     """
-    if not 0.0 < p.alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1) for the integral, got {p.alpha}")
-    require_real("a", a)
-    require_real("t", t)
-    if a < 0.0:
-        raise ValidationError(f"the lower bound must satisfy a >= 0, got {a}")
-    if t < a:
-        raise ValidationError(f"the upper bound must satisfy t >= a, got t={t}, a={a}")
+    require_order(p.alpha, closed=False)
+    if not 0.0 <= require_real("a", a) <= require_real("t", t):
+        raise ValidationError(f"the bounds must satisfy 0 <= a <= t, got a={a}, t={t}")
     scale = gamma(p.beta + 1.0)
     if t == a:
         return QuadratureResult(0.0, 0.0, 1)
@@ -193,7 +187,7 @@ def mfrac_integral(
         integrand = lambda x: f(x) * x**weight
         lo, hi = a, t
     try:
-        base = integrate_adaptive(integrand, lo, hi, abs_tol=abs_tol / scale, rel_tol=rel_tol)
+        base = integrate_adaptive(integrand, lo, hi, abs_tol=_ABS_TOL / scale, rel_tol=_REL_TOL)
     except ToleranceNotMetError as exc:
         raise ToleranceNotMetError(
             str(exc),
@@ -215,7 +209,7 @@ def check_inverse_di(f: RealFn, a: float, t: float, p: FracParams) -> float:
     numerically integrated function, so the check runs through both codepaths
     end to end instead of collapsing to the fundamental-theorem shortcut.
     """
-    if t <= a:
+    if not require_real("a", a) < require_real("t", t):
         raise ValidationError(f"need t > a, got t={t}, a={a}")
     accumulated = lambda s: mfrac_integral(f, a, s, p).value
     estimate = deriv_limit(accumulated, p, t)
@@ -229,7 +223,7 @@ def check_inverse_id(
 
     Valid under the compatibility condition f(a) = 0, which is enforced.
     """
-    if not 0.0 < a < t:
+    if not 0.0 < require_real("a", a) < require_real("t", t):
         raise ValidationError(f"need t > a > 0, got t={t}, a={a}")
     fa = f(a)
     if abs(fa) > 1e-12:

@@ -15,8 +15,10 @@ import math
 import operator
 import sys
 
-from .errors import DomainError, Record, ToleranceNotMetError, ValidationError, require_real
+from .errors import DomainError, Record, ToleranceNotMetError, ValidationError
+from .errors import require_int, require_positive, require_real
 from .expr import Expr, as_fn, evaluate
+from .fracderiv import require_order
 from .fracint import integrate_adaptive
 from .special import gamma
 
@@ -46,16 +48,11 @@ class HeatProblem(Record):
         self, L: float, k: float, alpha: float, beta: float, initial_profile: Expr,
         n_terms: int = 51,
     ):
-        if require_real("L", L) <= 0.0:
-            raise ValidationError(f"L must be positive, got {L}")
-        if require_real("k", k) <= 0.0:
-            raise ValidationError(f"k must be positive, got {k}")
-        if not 0.0 < require_real("alpha", alpha) <= 1.0:
-            raise ValidationError(f"alpha must lie in (0, 1], got {alpha}")
-        if require_real("beta", beta) <= 0.0:
-            raise ValidationError(f"beta must be positive, got {beta}")
-        if not isinstance(n_terms, int) or isinstance(n_terms, bool) or n_terms < 1:
-            raise ValidationError(f"n_terms must be a positive integer, got {n_terms!r}")
+        require_positive("L", L)
+        require_positive("k", k)
+        require_order(alpha, closed=True)
+        require_positive("beta", beta)
+        require_int("n_terms", n_terms, 1)
         if not isinstance(initial_profile, Expr):
             raise ValidationError("initial_profile must be an expression tree")
         for edge in (0.0, L):
@@ -248,9 +245,7 @@ def series_grid(solutions, xs, t: float):
     coeffs = first.coefficients
     if any(sol.problem.L != length or sol.coefficients != coeffs for sol in solutions):
         raise ValidationError("the solutions of one grid must share L and the coefficients")
-    if not isinstance(t, (int, float)) or not math.isfinite(t):
-        raise ValidationError(f"t must be a finite real, got {t!r}")
-    if t < 0.0:
+    if require_real("t", t) < 0.0:
         raise ValidationError(f"t must be non-negative, got {t}")
     decays = []
     for sol in solutions:
@@ -260,7 +255,7 @@ def series_grid(solutions, xs, t: float):
     freqs = [n * freq for n in range(1, len(coeffs) + 1)]
     edge = (0.0,) * len(solutions)
     for x in xs:
-        if not 0.0 <= x <= length:
+        if not 0.0 <= require_real("x", x) <= length:
             raise ValidationError(f"x must lie in [0, {length}], got {x}")
         if x == 0.0 or x == length:
             yield edge
@@ -279,13 +274,11 @@ def solve_heat(prob: HeatProblem, *, coefficients=None) -> HeatSolution:
     """
     if coefficients is None:
         coefficients = fourier_coeffs(prob)
-    coefficients = tuple(float(c) for c in coefficients)
+    coefficients = tuple([float(require_real("coefficient", c)) for c in coefficients])
     if len(coefficients) != prob.n_terms:
         raise ValidationError(
             f"expected {prob.n_terms} coefficients, got {len(coefficients)}"
         )
-    if not all(math.isfinite(c) for c in coefficients):
-        raise ValidationError("coefficients must all be finite")
     scale = gamma(prob.beta + 1.0)
     rates = []
     for n in range(1, prob.n_terms + 1):
@@ -309,10 +302,9 @@ def heat_residual(sol: HeatSolution, x: float, t: float) -> float:
     only rounding noise survives.
     """
     prob = sol.problem
-    if not 0.0 < x < prob.L:
+    if not 0.0 < require_real("x", x) < prob.L:
         raise ValidationError(f"x must be interior to (0, {prob.L}), got {x}")
-    if t <= 0.0:
-        raise ValidationError(f"t must be positive, got {t}")
+    require_positive("t", t)
     scale = gamma(prob.beta + 1.0)
     freq = math.pi / prob.L
     t_pow = t**prob.alpha

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable
+from collections.abc import Callable
 
-from .errors import ConvergenceError, DomainError, Record, ValidationError, require_real
+from .errors import ConvergenceError, DomainError, Record, ValidationError
+from .errors import require_int, require_positive, require_real
 from .expr import DualNumber
-from .fracderiv import DualFn, FracParams, RealFn, deriv_closed
+from .fracderiv import DualFn, FracParams, RealFn, deriv_closed, require_order
 from .special import gamma
 
 __all__ = [
@@ -47,11 +48,9 @@ class LinearOdeProblem(Record):
     def __init__(self, mu_sq: float, sign: TermSign, c: float, p: FracParams):
         if not isinstance(sign, TermSign):
             raise ValidationError(f"sign must be a TermSign, got {sign!r}")
-        if require_real("mu_sq", mu_sq) <= 0.0:
-            raise ValidationError(f"mu_sq must be positive, got {mu_sq}")
+        require_positive("mu_sq", mu_sq)
         require_real("c", c)
-        if not 0.0 < p.alpha <= 1.0:
-            raise ValidationError(f"alpha must lie in (0, 1], got {p.alpha}")
+        require_order(p.alpha, closed=True)
         super().__init__(mu_sq, sign, c, p)
 
 
@@ -84,7 +83,8 @@ def solve_linear(prob: LinearOdeProblem) -> OdeSolution:
     c = prob.c
 
     def value(t: float) -> float:
-        _check_time(t)
+        if require_real("t", t) <= 0.0:
+            raise DomainError(f"the solution is defined for t > 0, got {t!r}")
         try:
             v = c * math.exp(coeff * t**alpha)
         except OverflowError:
@@ -117,11 +117,6 @@ def _finite(v: float, t: float) -> float:
     return v
 
 
-def _check_time(t: float):
-    if require_real("t", t) <= 0.0:
-        raise DomainError(f"the solution is defined for t > 0, got {t!r}")
-
-
 def solve_general(
     g: Callable[[float, float], float],
     t0: float,
@@ -135,14 +130,10 @@ def solve_general(
     Classical RK4 on the transformed equation, returning a piecewise-cubic
     Hermite evaluator valid on [t0, t1].
     """
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 4:
-        raise ValidationError(f"steps must be an integer >= 4, got {steps!r}")
-    if not 0.0 < p.alpha <= 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1], got {p.alpha}")
-    require_real("t0", t0)
+    require_int("steps", steps, 4)
+    require_order(p.alpha, closed=True)
     require_real("v0", v0)
-    require_real("t1", t1)
-    if not 0.0 < t0 < t1:
+    if not 0.0 < require_real("t0", t0) < require_real("t1", t1):
         raise ValidationError(f"need 0 < t0 < t1, got t0={t0}, t1={t1}")
 
     scale = gamma(p.beta + 1.0)

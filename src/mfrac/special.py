@@ -7,9 +7,10 @@ accuracy notes below are self-contained and checked by the test suite.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
-from .errors import ConvergenceError, DomainError, Record, ValidationError, require_real
+from .errors import ConvergenceError, DomainError, Record, ValidationError
+from .errors import require_int, require_positive, require_real
 
 __all__ = [
     "INFINITY",
@@ -48,13 +49,9 @@ _CANCELLATION_LIMIT = 32.0
 
 def ln_gamma(x: float) -> float:
     """Natural logarithm of the gamma function for real x > 0."""
-    if not isinstance(x, (int, float)):
-        raise ValidationError(f"ln_gamma expects a real number, got {type(x).__name__}")
-    x = float(x)
-    if math.isnan(x) or not x > 0.0:
+    x = float(require_real("x", x))
+    if not x > 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    if math.isinf(x):
-        raise DomainError("ln_gamma requires a finite argument")
     if x < 0.5:
         # Reflection keeps the rational series inside its accurate range.
         return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
@@ -86,10 +83,8 @@ class TruncationIndex(Record):
     __slots__ = ("value",)
 
     def __init__(self, value: int | None = None):
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 0):
-            raise ValidationError(
-                f"truncation index must be a non-negative integer or None, got {value!r}"
-            )
+        if value is not None:
+            require_int("truncation index", value, 0)
         super().__init__(value)
 
     @property
@@ -111,8 +106,7 @@ class MLParams(Record):
     def __init__(self, beta: float, trunc: TruncationIndex = INFINITY):
         if not isinstance(trunc, TruncationIndex):
             raise ValidationError(f"trunc must be a TruncationIndex, got {trunc!r}")
-        if require_real("beta", beta) <= 0.0:
-            raise ValidationError(f"beta must be positive, got {beta}")
+        require_positive("beta", beta)
         super().__init__(beta, trunc)
 
 
@@ -184,11 +178,7 @@ def ml_kernel(p: MLParams) -> Callable[[float], float]:
         return total
 
     def kernel(z: float) -> float:
-        if not isinstance(z, (int, float)) or isinstance(z, bool):
-            raise ValidationError(f"z must be a real number, got {z!r}")
-        z = float(z)
-        if not math.isfinite(z):
-            raise DomainError(f"z must be finite, got {z}")
+        z = float(require_real("z", z))
         if z == 0.0:
             return 1.0
         if infinite and z < 0.0 and beta == 1.0:

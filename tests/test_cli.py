@@ -255,12 +255,12 @@ class TestParserReuse:
 class TestColdStart:
     """Importing the CLI loads no module that only some commands need."""
 
-    def test_import_loads_no_dataclasses_inspect_or_json(self):
+    def test_import_loads_no_dataclasses_inspect_json_or_typing(self):
         # -S keeps the site hooks of the host environment out of sys.modules.
         proc = run_python(
             "-S", "-c",
             "import sys, mfrac.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))",
+            "print(sorted({'dataclasses', 'inspect', 'json', 'typing'} & set(sys.modules)))",
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -431,6 +431,31 @@ class TestHeat:
         assert code == 1
         assert f"'{key}'" in err and "finite" in err
         assert not out_path.exists()
+
+    def test_bad_number_names_its_key(self, tmp_path):
+        proc = run_module(
+            "heat", "--L", "-1", "--k", "1", "--alpha", "0.5", "--beta", "1",
+            "--f", "x*(1-x)", "--t", "1", "--output", str(tmp_path / "o.csv"),
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "'L'" in proc.stderr and "alpha" not in proc.stderr
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_terms", 0), ("n_terms", True), ("n_terms", 2.0),
+        ("x_points", 1), ("x_points", True), ("x_points", 2.0),
+    ])
+    def test_bad_count_names_its_key(self, tmp_path, capsys, key, value):
+        config = {
+            "L": 1.0, "k": 0.003, "alpha": 0.5, "beta": 1.0, "f": "50*x*(1-x)",
+            "n_terms": 5, "t": 10.0, "x_points": 5, "output": str(tmp_path / "o.csv"),
+            key: value,
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "heat", "--config", str(cfg))
+        assert code == 1
+        assert f"'{key}'" in err and "alpha" not in err
 
     def test_unknown_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

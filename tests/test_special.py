@@ -76,7 +76,8 @@ class TestLnGamma:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, float("nan"), float("inf")])
     def test_domain_errors(self, bad):
-        with pytest.raises(DomainError):
+        # A finite x <= 0 is outside the domain; NaN and inf are not finite reals.
+        with pytest.raises(DomainError if math.isfinite(bad) else ValidationError):
             ln_gamma(bad)
 
     @pytest.mark.parametrize("big", [172.0, 201.0, 1e308])
@@ -183,7 +184,7 @@ class TestMlTruncated:
             ml_truncated(50.0, params(0.1))
 
     def test_non_finite_argument_raises(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             ml_truncated(float("inf"), params(1.0))
 
     @pytest.mark.parametrize("z, beta, i", [
@@ -259,7 +260,7 @@ class TestMlKernel:
 
     def test_kernel_validates_its_argument(self):
         kernel = ml_kernel(params(1.0))
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             kernel(float("nan"))
         with pytest.raises(ValidationError):
             kernel(True)
