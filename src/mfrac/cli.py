@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import os
 import sys
 
@@ -166,6 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite(name: str, value: float) -> float:
+    """``value`` when it is finite; a DomainError naming the quantity otherwise."""
+    if not math.isfinite(value):
+        raise DomainError(f"the {name} is not finite ({value!r})")
+    return value
+
+
 def _cmd_ml_eval(args) -> int:
     value = ml_truncated(args.z, MLParams(args.beta, args.i))
     print(repr(value))
@@ -175,15 +183,16 @@ def _cmd_ml_eval(args) -> int:
 def _cmd_deriv(args) -> int:
     tree = parse(args.f)
     p = FracParams(args.alpha, args.beta, args.i)
+    if args.method != "limit":
+        closed = _finite("closed-form derivative", deriv_closed(as_dual_fn(tree), p, args.t))
     if args.method == "closed":
-        print(repr(deriv_closed(as_dual_fn(tree), p, args.t)))
+        print(repr(closed))
         return 0
+    limit = _finite("limit derivative", deriv_limit(as_fn(tree), p, args.t).value)
     if args.method == "limit":
-        print(repr(deriv_limit(as_fn(tree), p, args.t).value))
+        print(repr(limit))
         return 0
-    closed = deriv_closed(as_dual_fn(tree), p, args.t)
-    limit = deriv_limit(as_fn(tree), p, args.t).value
-    gap = abs(closed - limit)
+    gap = _finite("gap between the closed-form and limit derivatives", abs(closed - limit))
     print(f"{closed!r},{limit!r},{gap!r}")
     if gap > _BOTH_METHODS_TOL * (1.0 + abs(closed)):
         print(f"error: closed and limit values disagree by {gap:.3e}", file=sys.stderr)
@@ -195,7 +204,8 @@ def _cmd_integrate(args) -> int:
     result = mfrac_integral(
         as_fn(parse(args.f)), args.a, args.t, FracParams(args.alpha, args.beta)
     )
-    print(f"{result.value!r},{result.abs_error_estimate!r}")
+    value = _finite("integral", result.value)
+    print(f"{value!r},{_finite('error estimate', result.abs_error_estimate)!r}")
     return 0
 
 
@@ -211,7 +221,7 @@ def _cmd_ode(args) -> int:
     rows = []
     for t in ts:
         residual = verify_linear(sol, prob, (t,))
-        rows.append((t, sol(t), residual))
+        rows.append((t, sol(t), _finite("residual", residual)))
     sys.stdout.write(CsvTable(("t", "v", "residual"), rows).to_csv())
     return 0
 
@@ -351,10 +361,11 @@ def _cmd_compare(args) -> int:
     tree = parse(args.f)
     f = as_fn(tree)
     reference = deriv_closed(as_dual_fn(tree), FracParams(args.alpha, 1.0), args.t)
-    rows = [("closed_beta1", reference, 0.0)]
+    rows = [("closed_beta1", _finite("closed-form derivative", reference), 0.0)]
     for family in _compare_families():
         value = deriv_limit(f, family_params(family, args.alpha), args.t).value
-        rows.append((family.label, value, abs(value - reference)))
+        deviation = abs(_finite(f"{family.label} limit derivative", value) - reference)
+        rows.append((family.label, value, _finite(f"{family.label} deviation", deviation)))
     sys.stdout.write(
         CsvTable(("family", "value", "abs_deviation_from_beta1_closed"), rows).to_csv()
     )

@@ -23,6 +23,7 @@ import math
 import operator
 import re
 from collections.abc import Callable
+from functools import partial
 
 from .errors import DomainError, Record, ValidationError
 
@@ -89,26 +90,17 @@ class Add(Expr):
 
 class Sub(Expr):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    __init__ = Add.__init__
 
 
 class Mul(Expr):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    __init__ = Add.__init__
 
 
 class Div(Expr):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    __init__ = Add.__init__
 
 
 class Pow(Expr):
@@ -361,13 +353,15 @@ def _int_pow(base: float, n: int) -> float:
     return 1.0 / acc if n < 0 else acc
 
 
-def _pow(base: float, p: float) -> float:
-    n = round(p)
-    if abs(p - n) < 1e-12:
-        return _int_pow(base, int(n))
+def _frac_pow(base: float, p: float) -> float:
     if base < 0.0:
         raise ValueError("negative base with non-integer exponent")
     return base**p
+
+
+def _pow(base: float, p: float) -> float:
+    n = round(p)
+    return _int_pow(base, n) if abs(p - n) < 1e-12 else _frac_pow(base, p)
 
 
 class DualNumber(Record):
@@ -432,7 +426,6 @@ def _pow_dual(b: DualNumber, x: DualNumber) -> DualNumber:
         return DualNumber(val, val * (x.der * math.log(b.val) + p * b.der / b.val))
     n = round(p)
     if abs(p - n) < 1e-12:
-        n = int(n)
         return DualNumber(val, 0.0 if n == 0 else n * _int_pow(b.val, n - 1) * b.der)
     if b.val == 0.0:
         raise ValueError("fractional power is not differentiable at a zero base")
@@ -464,65 +457,101 @@ _FUNCTION_RULES = {
 }
 
 
-def _guard(node: Expr, fn):
-    """Turn a float fault raised by fn into a DomainError that quotes node."""
-
-    def guarded(t):
-        try:
-            return fn(t)
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(f"cannot evaluate '{unparse(node)}' here ({exc.args[-1]})") from None
-
-    return guarded
+_FAULTS = (ValueError, OverflowError, ZeroDivisionError)
+_NOT_CONSTANT = object()  # what _constant returns for an operand that does not fold
 
 
-def _compile(e: Expr) -> tuple[Callable[[float], float], Callable[[float], DualNumber]]:
-    """Walk the tree once into a (value, dual) pair of closures of the variable."""
+def _fault(node: Expr, exc: Exception):
+    raise DomainError(f"cannot evaluate '{unparse(node)}' here ({exc.args[-1]})") from None
+
+
+def _constant(e: Expr, dual: bool):
+    """The value a literal or a negated number literal folds to, else _NOT_CONSTANT."""
     match e:
         case Constant(value=c):
-            const = DualNumber(c, 0.0)
-            return (lambda t: c), (lambda t: const)
+            return DualNumber(c, 0.0) if dual else c
+        case Neg(operand=Constant(value=float() | int()) as c):
+            return -_constant(c, dual)
+    return _NOT_CONSTANT
+
+
+def _compile(e: Expr, dual: bool) -> Callable:
+    """Walk the tree once into one closure of the variable: a real to the value,
+    or with ``dual`` DualNumber(t, 1.0) to the dual value.  Each operator or
+    call is one closure; it takes constant and variable operands in directly
+    and turns a float fault into a DomainError quoting its node."""
+    if (const := _constant(e, dual)) is not _NOT_CONSTANT:
+        return lambda t: const
+    match e:
         case Variable():
-            return (lambda t: t), (lambda t: DualNumber(t, 1.0))
-        case Neg(operand=o):
-            o_value, o_dual = _compile(o)
-            return (lambda t: -o_value(t)), (lambda t: -o_dual(t))
+            return lambda t: t
+        case Neg(operand=a):
+            rule, args = operator.neg, [a]
         case Call(func=name, arg=a) if name in _FUNCTION_RULES:
             rule, slope = _FUNCTION_RULES[name]
-            a_value, a_dual = _compile(a)
-
-            def dual(t):
-                u = a_dual(t)
-                fv = rule(u.val)
-                return DualNumber(fv, slope(u.val, fv) * u.der)
-
-            return _guard(e, lambda t: rule(a_value(t))), _guard(e, dual)
-        case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r) | Pow(l, r):
-            rule, dual_rule = _BINARY_RULES[type(e)]
-            l_value, l_dual = _compile(l)
-            r_value, r_dual = _compile(r)
-            return (
-                _guard(e, lambda t: rule(l_value(t), r_value(t))),
-                _guard(e, lambda t: dual_rule(l_dual(t), r_dual(t))),
-            )
-    raise ValidationError(f"not a supported Expr node: {e!r}")
+            if dual:  # the chain rule: f(u) has the derivative f'(u.val) * u.der
+                rule = lambda u, fn=rule: DualNumber(fv := fn(u.val), slope(u.val, fv) * u.der)
+            args = [a]
+        case Pow(a, b) if not dual and type(p := _constant(b, dual)) is float and math.isfinite(p):
+            n = round(p)  # _pow's integer test, settled once
+            rule, args = (_int_pow, [a, Constant(n)]) if abs(p - n) < 1e-12 else (_frac_pow, [a, b])
+        case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b) | Pow(a, b):
+            rule, args = _BINARY_RULES[type(e)][dual], [a, b]
+        case _:
+            raise ValidationError(f"not a supported Expr node: {e!r}")
+    if len(args) == 2 and (c := _constant(args[0], dual)) is not _NOT_CONSTANT:
+        rule, args = partial(rule, c), args[1:]
+    f = _compile(args[0], dual)
+    if len(args) == 2 and (c := _constant(args[1], dual)) is _NOT_CONSTANT:
+        g = _compile(args[1], dual)
+        def node(t):
+            try:
+                return rule(f(t), g(t))
+            except _FAULTS as exc:
+                _fault(e, exc)
+    elif isinstance(args[0], Variable) and len(args) == 1:
+        def node(t):
+            try:
+                return rule(t)
+            except _FAULTS as exc:
+                _fault(e, exc)
+    elif isinstance(args[0], Variable):
+        def node(t):
+            try:
+                return rule(t, c)
+            except _FAULTS as exc:
+                _fault(e, exc)
+    elif len(args) == 1:
+        def node(t):
+            try:
+                return rule(f(t))
+            except _FAULTS as exc:
+                _fault(e, exc)
+    else:
+        def node(t):
+            try:
+                return rule(f(t), c)
+            except _FAULTS as exc:
+                _fault(e, exc)
+    return node
 
 
 def evaluate(e: Expr, t: float) -> float:
     """Evaluate the expression at variable value t."""
-    return _compile(e)[0](t)
+    return _compile(e, False)(t)
 
 
 def evaluate_dual(e: Expr, t: float) -> DualNumber:
     """Evaluate the expression and its derivative at t; .val equals evaluate(e, t) bitwise."""
-    return _compile(e)[1](t)
+    return as_dual_fn(e)(t)
 
 
 def as_fn(e: Expr) -> Callable[[float], float]:
     """Compile a tree once into a plain real-valued function of the variable."""
-    return _compile(e)[0]
+    return _compile(e, False)
 
 
 def as_dual_fn(e: Expr) -> Callable[[float], DualNumber]:
     """Compile a tree once into a dual-valued function of the variable."""
-    return _compile(e)[1]
+    f = _compile(e, True)
+    return lambda t: f(DualNumber(t, 1.0))

@@ -148,7 +148,10 @@ def _quotient_limit(g: RealFn, p: FracParams, t: float, n: int) -> LimitEstimate
     log-gamma weight is computed once.
     """
     kernel = ml_kernel(p.ml_params())
-    scale = t ** (n - p.alpha)
+    try:
+        scale = t ** (n - p.alpha)
+    except OverflowError:
+        raise ConvergenceError(f"t^{n - p.alpha} overflows at t={t}; no step size fits") from None
     g0 = g(t)
 
     def q(eps):

@@ -88,8 +88,9 @@ def _kronrod_panel(f: RealFn, a: float, b: float) -> tuple[float, float]:
             g7 += _WG[(i - 1) // 2] * pair
     value = k15 * half
     diff = abs(k15 - g7) * abs(half)
-    # QUADPACK-style sharpening of the raw G7/K15 gap.
-    error = min(diff, (200.0 * diff) ** 1.5)
+    # QUADPACK-style sharpening of the raw G7/K15 gap.  It can only win for
+    # diff < 1, and skipping it above keeps (200 * diff)^1.5 from overflowing.
+    error = min(diff, (200.0 * diff) ** 1.5) if diff < 1.0 else diff
     return value, error
 
 

@@ -49,6 +49,8 @@ class HeatProblem(Record):
         n_terms: int = 51,
     ):
         require_positive("L", L)
+        if not math.isfinite(math.pi / L):
+            raise ValidationError(f"L = {L} is too small: the mode frequency pi / L overflows")
         require_positive("k", k)
         require_order(alpha, closed=True)
         require_positive("beta", beta)

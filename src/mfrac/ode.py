@@ -93,7 +93,11 @@ def solve_linear(prob: LinearOdeProblem) -> OdeSolution:
 
     def dual(t: float) -> DualNumber:
         v = value(t)
-        return DualNumber(v, _finite(v * coeff * alpha * t ** (alpha - 1.0), t))
+        try:
+            der = v * coeff * alpha * t ** (alpha - 1.0)
+        except OverflowError:  # t^(alpha - 1) beyond the largest double
+            der = math.inf
+        return DualNumber(v, _finite(der, t, "solution's derivative"))
 
     description = f"v(t) = {c!r} * exp({coeff!r} * t^{alpha!r})"
     return OdeSolution(value, dual, description)
@@ -111,9 +115,9 @@ def verify_linear(sol: OdeSolution, prob: LinearOdeProblem, ts) -> float:
     return worst
 
 
-def _finite(v: float, t: float) -> float:
+def _finite(v: float, t: float, what: str = "solution") -> float:
     if not math.isfinite(v):
-        raise DomainError(f"the solution overflows a double at t={t!r}")
+        raise DomainError(f"the {what} overflows a double at t={t!r}")
     return v
 
 

@@ -40,6 +40,9 @@ _LANCZOS = (
 )
 
 _INF_TAIL_REL = 1e-16
+# A term at most this fraction of |total| is below a quarter ulp of the total,
+# so adding it leaves the total unchanged.
+_FINITE_TAIL_REL = 2.0**-55
 _INF_TERM_CAP = 500
 # Largest tolerated ratio sum|term| / |sum| before an alternating sum is
 # declared numerically meaningless: beyond it, cancellation alone would eat
@@ -126,8 +129,9 @@ def ml_kernel(p: MLParams) -> Callable[[float], float]:
     beta = 1 where exp(z) = 1/exp(-z) reflects the evaluation onto the
     well-conditioned positive side.  With any truncation, a term or a total
     that overflows raises ConvergenceError.  A finite truncation stops at the
-    first term that underflows to 0.0, since every later term is 0.0 as well,
-    so its cost does not grow with i beyond that point.
+    first term of at most 2^-55 * |total|, a quarter ulp: that term and every
+    later, smaller one leave the total unchanged, so the sum is bitwise that
+    of all terms up to i, and its cost does not grow with i beyond that point.
     """
     beta = p.beta
     infinite = p.trunc.is_infinite
@@ -156,9 +160,13 @@ def ml_kernel(p: MLParams) -> Callable[[float], float]:
                 raise ConvergenceError(
                     f"Mittag-Leffler term overflowed at k={k} (z={z}, beta={beta})"
                 ) from None
-            # k*ln|z| - ln_gamma(beta*k + 1) is concave in k and 0 at k = 0,
-            # so once a term underflows to 0.0 every later term does too.
-            if mag == 0.0 or (infinite and mag < _INF_TAIL_REL * abs_sum):
+            # k*ln|z| - ln_gamma(beta*k + 1) is concave in k and 0 at k = 0.
+            # Up to the largest term each term is at least |total| / k, so a
+            # term this small comes after it and every later one is smaller.
+            if infinite:
+                if mag < _INF_TAIL_REL * abs_sum:
+                    break
+            elif mag <= _FINITE_TAIL_REL * abs(total):
                 break
             total += -mag if negative and k % 2 == 1 else mag
             abs_sum += mag

@@ -210,6 +210,57 @@ class TestOverflow:
         assert proc.stdout == ""
 
 
+class TestNonFiniteEnds:
+    """Inputs found by fuzzing that raised a bare exception or printed a
+    nan or inf with exit 0."""
+
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            (["deriv", "--f", "x", "--alpha", "0.985", "--beta", "1", "--t", "1e-320",
+              "--method", "limit"], 2, "t^-0.985 overflows"),
+            (["compare", "--f", "exp(x)", "--alpha", "0.999999", "--t", "1e-320"],
+             2, "t^-0.999999 overflows"),
+            (["compare", "--f", "exp(ln(x))", "--alpha", "0.999999", "--t", "1e-320"],
+             1, "closed-form derivative is not finite (inf)"),
+            (["heat", "--L", "1e-320", "--k", "1", "--alpha", "0.5", "--beta", "1",
+              "--f", "x*(1e-320-x)", "--t", "1", "--n-terms", "1", "--x-points", "3"],
+             1, "pi / L overflows"),
+            (["deriv", "--f", "x/ln(x)", "--alpha", "0.5", "--beta", "1", "--t", "1e-320",
+              "--method", "closed"], 1, "closed-form derivative is not finite (-inf)"),
+            (["deriv", "--f", "x/ln(x)", "--alpha", "0.5", "--beta", "1", "--t", "1e-320",
+              "--method", "both"], 1, "closed-form derivative is not finite (-inf)"),
+            (["deriv", "--f", "0/((1/x)+(1-x^1000))", "--alpha", "1e-300", "--beta", "3.051",
+              "--t", "1e300", "--i", "3", "--method", "closed"],
+             1, "closed-form derivative is not finite (nan)"),
+            (["ode", "--mu-sq", "0.5", "--sign", "plus", "--c", "1e-300", "--alpha", "1e-300",
+              "--beta", "2", "--t", "1e-320"], 1, "solution's derivative overflows"),
+            (["integrate", "--f", "sqrt(x)", "--a", "0.999999", "--t", "1e308", "--alpha", "0.5",
+              "--beta", "3.7"], 1, "integral is not finite (inf)"),
+        ],
+        ids=["deriv-step", "compare-step", "compare-closed", "heat-tiny-L", "deriv-closed",
+             "deriv-both", "deriv-nan", "ode-derivative", "integrate-overflow"],
+    )
+    def test_exits_typed_with_empty_stdout(self, capsys, tmp_path, argv, code, message):
+        out_path = tmp_path / "o.csv"
+        if argv[0] == "heat":
+            argv = argv + ["--output", str(out_path)]
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ") and message in err
+        assert not out_path.exists()
+
+    def test_steep_integrand_no_longer_overflows_the_error_estimate(self, capsys):
+        # (200 * gap)^1.5 overflowed on the first panel; the integral itself
+        # is (1.7^1000.5 - 0.5^1000.5) / 1000.5, about 3.66e227.
+        code, out, _ = run_cli(capsys, "integrate", "--f", "x^1000", "--a", "0.5", "--t", "1.7",
+                               "--alpha", "0.5", "--beta", "1")
+        assert code == 0
+        value = float(out.split(",")[0])
+        exact = (1.7**1000.5 - 0.5**1000.5) / 1000.5
+        assert abs(value - exact) <= 1e-12 * exact
+
+
 class TestParserReuse:
     """`main` reuses one parser per process; no call may see another's flags."""
 

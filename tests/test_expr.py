@@ -300,3 +300,120 @@ class TestProperties:
         for tree, t, d in _usable_samples(23, 200):
             approx = (evaluate(tree, t + h) - evaluate(tree, t - h)) / (2.0 * h)
             assert abs(d.der - approx) <= 1e-6 * (1.0 + abs(d.der)), unparse(tree)
+
+
+def _reference(e, t):
+    """Plain recursive evaluation, written out independently of the compiler:
+    every operator and call turns a float fault into the DomainError that
+    quotes it."""
+    if isinstance(e, Constant):
+        return e.value
+    if isinstance(e, Variable):
+        return t
+    if isinstance(e, Neg):
+        return -_reference(e.operand, t)
+    if isinstance(e, Call):
+        operands = [_reference(e.arg, t)]
+    elif isinstance(e, Pow):
+        operands = [_reference(e.base, t), _reference(e.exponent, t)]
+    else:
+        operands = [_reference(e.left, t), _reference(e.right, t)]
+    try:
+        if isinstance(e, Call):
+            fn = abs if e.func == "abs" else getattr(math, {"ln": "log"}.get(e.func, e.func))
+            return fn(*operands)
+        left, right = operands
+        if isinstance(e, Add):
+            return left + right
+        if isinstance(e, Sub):
+            return left - right
+        if isinstance(e, Mul):
+            return left * right
+        if isinstance(e, Div):
+            return left / right
+        n = round(right)
+        if abs(right - n) >= 1e-12:
+            if left < 0.0:
+                raise ValueError("negative base with non-integer exponent")
+            return left**right
+        acc, square, bits = 1.0, left, abs(n)
+        while bits:  # square and multiply
+            if bits & 1:
+                acc *= square
+            bits >>= 1
+            if bits:
+                square *= square
+        return 1.0 / acc if n < 0 else acc
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"cannot evaluate '{unparse(e)}' here ({exc.args[-1]})") from None
+
+
+_CONSTANTS = (0.0, 1.0, 2.0, 3.0, 0.5, 2.5, 1e300, 1e-300)
+_EXPONENTS = (0.0, 1.0, 2.0, 3.0, 7.0, 2.0000000000001, 3.0000000001, 0.5, 1.5, 1e300)
+_POINTS = (0.0, -0.0, 0.5, 1.7, -1.0, -2.5, 1e300, -1e300, 1e-320)
+
+
+def _any_tree(rng, depth):
+    """A random tree over every node type, with folded and unfolded operands."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.5:
+            return X
+        value = Constant(rng.choice(_CONSTANTS))
+        return rng.choice([value, Neg(value), Constant(-value.value)])
+    kind = rng.choice(["add", "sub", "mul", "div", "neg", "pow", "pow_const", "call"])
+    if kind == "neg":
+        return Neg(_any_tree(rng, depth - 1))
+    if kind == "call":
+        name = rng.choice(["sin", "cos", "exp", "ln", "sqrt", "abs"])
+        return Call(name, _any_tree(rng, depth - 1))
+    if kind == "pow_const":
+        exponent = Constant(rng.choice(_EXPONENTS))
+        return Pow(_any_tree(rng, depth - 1), rng.choice([exponent, Neg(exponent)]))
+    node = {"add": Add, "sub": Sub, "mul": Mul, "div": Div, "pow": Pow}[kind]
+    return node(_any_tree(rng, depth - 1), _any_tree(rng, depth - 1))
+
+
+def _outcome(fn, t):
+    try:
+        return repr(fn(t))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+class TestCompiledClosures:
+    def test_value_closure_matches_a_reference_evaluator_bitwise(self):
+        rng = random.Random(53)
+        for _ in range(1500):
+            tree = _any_tree(rng, rng.randint(0, 5))
+            value, dual = as_fn(tree), as_dual_fn(tree)
+            for t in _POINTS + (rng.uniform(-3.0, 3.0),):
+                got = _outcome(value, t)
+                assert got == _outcome(lambda s: _reference(tree, s), t), (unparse(tree), t)
+                try:
+                    d = dual(t)
+                except DomainError:
+                    continue
+                # Where the dual has a value, it is the value closure's, bit for bit.
+                assert repr(d.val) == got, (unparse(tree), t)
+
+    def test_negated_literal_folds_to_the_negated_dual(self):
+        # -0 is Neg(Constant(0.0)): its dual is -DualNumber(0.0, 0.0), whose
+        # derivative -0.0 keeps the sign of a zero product.
+        d = as_dual_fn(parse("-0*x"))(2.0)
+        assert (repr(d.val), repr(d.der)) == ("-0.0", "-0.0")
+
+    @pytest.mark.parametrize(
+        "tree,t,node",
+        [
+            (parse("2*x"), 10**400, "2.0*x"),
+            (Mul(Constant(10**400), Variable()), 1.5, f"{10**400}*x"),
+        ],
+        ids=["huge-variable", "huge-constant"],
+    )
+    def test_huge_int_operands_fault_inside_their_node(self, tree, t, node):
+        # An int beyond the double range raises OverflowError even in * and +.
+        for fn in (as_fn(tree), as_dual_fn(tree), lambda s: evaluate(tree, s)):
+            with pytest.raises(DomainError) as err:
+                fn(t)
+            message = f"cannot evaluate '{node}' here (int too large to convert to float)"
+            assert str(err.value) == message

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from mfrac import special
 from mfrac.errors import ConvergenceError, DomainError, ValidationError
 from mfrac.special import (
     INFINITY,
@@ -257,6 +258,16 @@ class TestMlKernel:
             i = rng.randint(1500, 4000)
             assert math.exp(i * math.log(abs(z)) - ln_gamma(beta * i + 1.0)) == 0.0
             assert ml_kernel(params(beta, i))(z) == plain_term_loop(z, beta, i), (beta, z, i)
+
+    def test_finite_sums_stop_below_a_quarter_ulp(self, monkeypatch):
+        # At the limit estimator's step size the terms fall below a quarter ulp
+        # of the total after k = 6, so the kernel computes 7 of 20 weights.
+        calls = []
+        monkeypatch.setattr(special, "ln_gamma", lambda x: calls.append(x) or ln_gamma(x))
+        kernel = ml_kernel(params(1.0, 20))
+        for z in (1e-2, -1e-2):
+            assert kernel(z) == plain_term_loop(z, 1.0, 20), z
+        assert len(calls) == 7
 
     def test_kernel_validates_its_argument(self):
         kernel = ml_kernel(params(1.0))
