@@ -341,8 +341,9 @@ def unparse(e: Expr) -> str:
 
 def _int_pow(base: float, n: int) -> float:
     # Square-and-multiply: repeated multiplication, so negative bases stay exact.
+    # A float base keeps an int one from squaring exactly and without bound.
     acc = 1.0
-    b = base
+    b = float(base)
     m = abs(n)
     while m:
         if m & 1:
@@ -403,9 +404,7 @@ class DualNumber(Record):
         o = self._coerce(other)
         if o.val == 0.0:
             raise DomainError("dual division by a zero value")
-        return DualNumber(
-            self.val / o.val, (self.der * o.val - self.val * o.der) / (o.val * o.val)
-        )
+        return _div_dual(self, o)
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)

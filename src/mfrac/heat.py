@@ -11,15 +11,16 @@ alpha < 1.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 import sys
 
 from .errors import DomainError, Record, ToleranceNotMetError, ValidationError
 from .errors import require_int, require_positive, require_real
-from .expr import Expr, as_fn, evaluate
+from .expr import Expr, as_fn, evaluate, unparse
 from .fracderiv import require_order
-from .fracint import integrate_adaptive
+from .fracint import integrate_adaptive  # noqa: F401  (benchmarks/tracer.py wraps it)
 from .special import gamma
 
 __all__ = [
@@ -137,37 +138,35 @@ _WGL = (
     0.04857546744150343,
     0.048690957009139724,
 )
-# Panel counts 1, 2, 4: a mode needs two consecutive levels to agree.
-_GAUSS_LEVELS = 3
+# The projection's panel budget (x*(1-x)*sin(20000*x) needs 128) and narrowest
+# panel over L: a narrower one crowds its nodes onto a few doubles that agree falsely.
+_MAX_PANELS = 512
+_MIN_WIDTH = 2.0**-40
 
 
-def _gauss_samples(profile, length: float, panels: int) -> list[tuple[float, float]]:
-    """The pairs (w_j * f(x_j), x_j) of the composite 64-point Gauss-Legendre
-    rule with ``panels`` equal panels over [0, length]."""
-    half = 0.5 * length / panels
+def _gauss_samples(profile, a: float, b: float) -> list[tuple[float, float]]:
+    """The pairs (w_j * f(x_j), x_j) of the 64-point Gauss-Legendre rule on [a, b]."""
+    half = 0.5 * (b - a)
+    center = a + half
     pairs = []
-    for p in range(panels):
-        center = (2 * p + 1) * half
-        for node, weight in zip(_XGL, _WGL):
-            offset = half * node
-            for x in (center - offset, center + offset):
-                pairs.append((half * weight * profile(x), x))
+    for node, weight in zip(_XGL, _WGL):
+        offset = half * node
+        for x in (center - offset, center + offset):
+            pairs.append((half * weight * profile(x), x))
     return pairs
 
 
 def fourier_coeffs(prob: HeatProblem) -> list[float]:
     """Sine-projection coefficients c_n = (2/L) * integral of f(x) sin(n pi x / L).
 
-    A composite 64-point Gauss-Legendre rule on 1, then 2, then 4 equal
-    panels samples the profile once per node for all modes, so each mode
-    costs only its sines and multiply-adds.  A coefficient is accepted when
-    two consecutive panel counts agree within the tolerance and takes the
-    finer value; for an analytic profile the rule converges geometrically, so
-    that difference overstates the finer value's error by orders of
-    magnitude.  A mode still unsettled at 4 panels (a profile with a kink or
-    an endpoint singularity, or a mode too oscillatory for the rule) falls
-    back to its own adaptive Gauss-Kronrod quadrature to the same tolerance,
-    which raises ToleranceNotMetError when its subdivision budget runs out.
+    Adaptive 64-point Gauss-Legendre quadrature with profile samples shared
+    by all N modes, so a mode costs only its sines and multiply-adds.  A
+    panel's value is the rule on its two halves, its estimate per mode the gap
+    to the rule on the whole panel.  The panel whose worst mode has the
+    largest gap is halved until every mode's summed estimate is within the
+    tolerance.  An analytic profile settles on the first panel (192 samples).
+    Running out of panels raises ToleranceNotMetError, whose ``best`` holds
+    the unconverged coefficients; a non-finite sample raises ValidationError.
 
     The tolerance is max(1e-12, 64 * eps * (2/L) * sum of |w_j f(x_j)|) over
     the one-panel samples.  Rounding in every coefficient grows with that
@@ -176,41 +175,42 @@ def fourier_coeffs(prob: HeatProblem) -> list[float]:
     profile, L, and N, never on alpha or beta.
     """
     length = prob.L
-    freq = math.pi / length
     front = 2.0 / length
+    freqs = [n * (math.pi / length) for n in range(1, prob.n_terms + 1)]
     profile = as_fn(prob.initial_profile)
-    coeffs = [0.0] * prob.n_terms
-    pending = range(1, prob.n_terms + 1)
-    previous = {}
-    for level in range(_GAUSS_LEVELS):
-        nodes = _gauss_samples(profile, length, 2**level)
-        if level == 0:
-            scale = front * sum([abs(s) for s, _ in nodes])
-            tol = max(_COEFF_ABS_TOL, _COEFF_ULPS * sys.float_info.epsilon * scale)
-        current = {}
-        for n in pending:
-            w = n * freq
-            current[n] = front * sum([s * math.sin(w * x) for s, x in nodes])
-        pending = []
-        for n, value in current.items():
-            if n in previous and abs(value - previous[n]) <= tol:
-                coeffs[n - 1] = value
-            else:
-                pending.append(n)
-        if not pending:
-            return coeffs
-        previous = current
-    raw_tol = tol / front
-    for n in pending:
-        integrand = lambda x, w=n * freq: profile(x) * math.sin(w * x)
-        try:
-            result = integrate_adaptive(integrand, 0.0, length, abs_tol=raw_tol, rel_tol=0.0)
-        except ToleranceNotMetError as exc:
+
+    def project(pairs):
+        return [front * sum([s * math.sin(w * x) for s, x in pairs]) for w in freqs]
+
+    def panel(a, b, coarse):
+        """Heap entry (-worst gap, a, mid, b, values, gaps to ``coarse``, samples) of [a, b]."""
+        mid = 0.5 * (a + b)
+        pairs = _gauss_samples(profile, a, mid) + _gauss_samples(profile, mid, b)
+        values = project(pairs)
+        gaps = [abs(v - c) for v, c in zip(values, coarse)]
+        if not math.isfinite(sum(gaps)):
+            text = unparse(prob.initial_profile)
+            raise ValidationError(f"initial profile {text} is not finite on [{a!r}, {b!r}]")
+        return -max(gaps), a, mid, b, values, gaps, pairs
+
+    whole = _gauss_samples(profile, 0.0, length)
+    scale = front * sum([abs(s) for s, _ in whole])
+    tol = max(_COEFF_ABS_TOL, _COEFF_ULPS * sys.float_info.epsilon * scale)
+    heap = [panel(0.0, length, project(whole))]
+    errors = heap[0][5]
+    while max(errors) > tol:
+        _, a, mid, b, _, gaps, pairs = heap[0]
+        if len(heap) >= _MAX_PANELS or b - a <= _MIN_WIDTH * length:
+            n = errors.index(max(errors)) + 1
             raise ToleranceNotMetError(
-                f"coefficient n={n} did not reach tolerance: {exc}", best=exc.best
-            ) from None
-        coeffs[n - 1] = front * result.value
-    return coeffs
+                f"coefficient n={n} did not reach tolerance: error estimate {errors[n - 1]:.3e} "
+                f"still above {tol:.3e} after {len(heap)} panels",
+                best=[math.fsum(c) for c in zip(*(entry[4] for entry in heap))],
+            )
+        heapq.heapreplace(heap, left := panel(a, mid, project(pairs[:64])))
+        heapq.heappush(heap, right := panel(mid, b, project(pairs[64:])))
+        errors = [e - g + l + r for e, g, l, r in zip(errors, gaps, left[5], right[5])]
+    return [math.fsum(c) for c in zip(*(entry[4] for entry in heap))]
 
 
 class HeatSolution(Record):

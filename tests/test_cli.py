@@ -467,6 +467,31 @@ class TestHeat:
         assert rows[0][1] == rows[2][1] == 0.0
         assert math.isfinite(rows[1][1]) and rows[1][1] > 0.0
 
+    def test_unresolvable_profile_exits_two_quickly(self, tmp_path):
+        # The panel budget bounds the work: no output, exit 2, in seconds.
+        out_path = tmp_path / "o.csv"
+        start = time.perf_counter()
+        proc = run_module(
+            "heat", "--L", "1", "--k", "0.003", "--alpha", "0.5", "--beta", "1",
+            "--f", "x*(1-x)*sin(1000000*x)", "--t", "1", "--n-terms", "51",
+            "--output", str(out_path),
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr and "after 512 panels" in proc.stderr
+        assert not out_path.exists()
+        assert elapsed < 5.0
+
+    def test_non_finite_profile_named(self, tmp_path, capsys):
+        out_path = tmp_path / "o.csv"
+        code, _, err = run_cli(
+            capsys, "heat", "--L", "1", "--k", "0.003", "--alpha", "0.5", "--beta", "1",
+            "--f", "1e308*x*(1-x)*100", "--t", "1", "--output", str(out_path),
+        )
+        assert code == 1
+        assert "initial profile 1e+308*x*(1.0-x)*100.0 is not finite" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("key,value", [("t", "NaN"), ("L", "Infinity"), ("k", "-Infinity")])
     def test_non_finite_config_number_rejected(self, tmp_path, capsys, key, value):
         out_path = tmp_path / "heat.csv"

@@ -144,6 +144,15 @@ class TestEvaluate:
         assert evaluate(parse("x^3"), -2.0) == -8.0
         assert evaluate(parse("x^2.0000000000001"), -2.0) == 4.0  # within integer snap
 
+    def test_int_base_powers_like_its_float(self):
+        # Squared as an int, 3 reached 3^65536 exactly and then failed to
+        # convert; a large integral exponent never returned at all.
+        assert evaluate(parse("x^65536"), 3) == evaluate(parse("x^65536"), 3.0) == math.inf
+
+    def test_int_base_beyond_the_double_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="int too large to convert to float"):
+            evaluate(parse("x^2"), 10**400)
+
     @pytest.mark.parametrize(
         "source,t",
         [

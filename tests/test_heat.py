@@ -7,7 +7,7 @@ import pytest
 
 from _support import assert_close, classical_heat_series
 from mfrac import heat
-from mfrac.errors import DomainError, ValidationError
+from mfrac.errors import DomainError, ToleranceNotMetError, ValidationError
 from mfrac.expr import as_fn, parse
 from mfrac.fracderiv import FracParams
 from mfrac.fracint import integrate_adaptive
@@ -72,7 +72,7 @@ class TestFourierCoefficients:
 
 
 def adaptive_coeffs(prob):
-    """The per-mode adaptive Gauss-Kronrod projection, the fallback of fourier_coeffs."""
+    """An independent reference: per-mode adaptive Gauss-Kronrod quadrature."""
     profile = as_fn(prob.initial_profile)
     front = 2.0 / prob.L
     coeffs = []
@@ -83,16 +83,65 @@ def adaptive_coeffs(prob):
     return coeffs
 
 
-def counting_fallbacks(monkeypatch):
-    calls = []
-    quad = heat.integrate_adaptive
+def counting_samples(monkeypatch):
+    """A list that grows by one x for each profile sample fourier_coeffs takes."""
+    xs = []
+    as_fn = heat.as_fn
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return quad(*args, **kwargs)
+    def counting(tree):
+        f = as_fn(tree)
+        return lambda x: xs.append(x) or f(x)
 
-    monkeypatch.setattr(heat, "integrate_adaptive", counting)
-    return calls
+    monkeypatch.setattr(heat, "as_fn", counting)
+    return xs
+
+
+def power_sine(s, w):
+    """Integral of x^(s-1) sin(w x) over [0, 1]: the imaginary part of
+    (-iw)^(-s) times the lower incomplete gamma function at (s, -iw)."""
+    from mpmath import mp
+
+    z = -1j * w
+    return (z**-s * mp.gammainc(s, 0, z)).imag
+
+
+def cubic_sine(coeffs, w, a, b):
+    """Integral of p(x) sin(w x) over [a, b] for the cubic p with coefficients
+    ``coeffs`` (constant first), integrated by parts four times."""
+    from mpmath import mp
+
+    derivs = [coeffs]
+    for _ in range(3):
+        c = derivs[-1]
+        derivs.append([i * c[i] for i in range(1, len(c))])
+
+    def antiderivative(x):
+        p0, p1, p2, p3 = (sum(ci * x**i for i, ci in enumerate(c)) for c in derivs)
+        sin, cos = mp.sin(w * x), mp.cos(w * x)
+        return -p0 * cos / w + p1 * sin / w**2 + p2 * cos / w**3 - p3 * sin / w**4
+
+    return antiderivative(b) - antiderivative(a)
+
+
+def power_profile_coeffs(p, n_terms):
+    """c_n of x^p * (1 - x) on [0, 1], to 30 digits."""
+    from mpmath import mp
+
+    with mp.workdps(30):
+        return [float(2 * (power_sine(p + 1, n * mp.pi) - power_sine(p + 2, n * mp.pi)))
+                for n in range(1, n_terms + 1)]
+
+
+def kink_profile_coeffs(n_terms):
+    """c_n of abs(x - 0.3) * x * (1 - x) on [0, 1], to 30 digits."""
+    from mpmath import mp
+
+    with mp.workdps(30):
+        k = mp.mpf("0.3")
+        right = [0, -k, 1 + k, -1]  # (x - k) * x * (1 - x)
+        left = [-c for c in right]
+        return [float(2 * (cubic_sine(left, n * mp.pi, 0, k) + cubic_sine(right, n * mp.pi, k, 1)))
+                for n in range(1, n_terms + 1)]
 
 
 class TestGaussProjection:
@@ -103,7 +152,7 @@ class TestGaussProjection:
 
     def test_rule_integrates_polynomials_of_degree_127_exactly(self):
         for k in range(128):
-            pairs = heat._gauss_samples(lambda x, k=k: x**k, 1.0, 1)
+            pairs = heat._gauss_samples(lambda x, k=k: x**k, 0.0, 1.0)
             assert abs(sum(s for s, _ in pairs) - 1.0 / (k + 1)) <= 1e-14, k
 
     @pytest.mark.parametrize("n_terms", [51, 200])
@@ -124,23 +173,42 @@ class TestGaussProjection:
             expected = 4.0 * length**2 * (1 - (-1) ** n) / (n * math.pi) ** 3
             assert abs(c - expected) <= 1e-12 * c_1, n
 
-    def test_large_profile_falls_back_with_its_own_scale(self, monkeypatch):
-        # Every mode of sqrt(x)*(L-x) falls back, and stretching x by L = 1e6
+    def test_large_profile_refines_with_its_own_scale(self):
+        # sqrt(x)*(L-x) needs refinement at x = 0, and stretching x by L = 1e6
         # multiplies each coefficient by L^1.5.  The unit profile's 1e-12 is
         # 2.6e-12 of its c_1.
         unit = fourier_coeffs(HeatProblem(L=1.0, k=1.0, alpha=0.5, beta=1.0,
                                           initial_profile=parse("sqrt(x)*(1-x)"), n_terms=11))
-        calls = counting_fallbacks(monkeypatch)
         large = fourier_coeffs(HeatProblem(L=1e6, k=1.0, alpha=0.5, beta=1.0,
                                            initial_profile=parse("sqrt(x)*(1e6-x)"), n_terms=11))
-        assert len(calls) == 11
         for a, b in zip(unit, large):
             assert abs(b - 1e9 * a) <= 1e-11 * 1e9 * unit[0]
 
-    def test_figure_profile_needs_no_adaptive_quadrature(self, monkeypatch):
-        calls = counting_fallbacks(monkeypatch)
+    def test_figure_profile_settles_on_the_first_panel(self, monkeypatch):
+        # 64 samples on [0, L] and 64 on each half: the panel is never halved.
+        xs = counting_samples(monkeypatch)
         fourier_coeffs(paper_problem(n_terms=51))
-        assert calls == []
+        assert len(xs) == 192
+
+    def test_analytic_profiles_are_the_two_panel_sums_bitwise(self):
+        # The figure profile and sine profiles like the benchmark's heat grid
+        # settle on the first panel, whose value is one sum over its halves.
+        rng = random.Random(97)
+        problems = [paper_problem(n_terms=51)]
+        for _ in range(100):
+            length = round(rng.uniform(0.5, 3.0), 3)
+            amp = round(rng.choice((-1, 1)) * rng.uniform(0.5, 5.0), 3)
+            text = f"{amp!r}*sin({rng.randint(1, 3) * math.pi / length!r}*x)"
+            problems.append(HeatProblem(L=length, k=0.003, alpha=0.5, beta=1.0,
+                                        initial_profile=parse(text),
+                                        n_terms=rng.randint(11, 31)))
+        for prob in problems:
+            f = as_fn(prob.initial_profile)
+            half = 0.5 * prob.L
+            pairs = heat._gauss_samples(f, 0.0, half) + heat._gauss_samples(f, half, prob.L)
+            want = [2.0 / prob.L * sum([s * math.sin(n * (math.pi / prob.L) * x) for s, x in pairs])
+                    for n in range(1, prob.n_terms + 1)]
+            assert fourier_coeffs(prob) == want, prob.initial_profile
 
     def test_smooth_profiles_match_the_adaptive_projection(self):
         rng = random.Random(61)
@@ -160,14 +228,40 @@ class TestGaussProjection:
             want = adaptive_coeffs(prob)
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, prob.initial_profile
 
-    def test_unsettled_modes_fall_back_to_the_adaptive_values_bitwise(self, monkeypatch):
-        # sqrt(x) has an endpoint singularity: no panel count settles a mode.
+    @pytest.mark.parametrize("text, reference", [
+        ("sqrt(x)*(1-x)", lambda n: power_profile_coeffs(0.5, n)),
+        ("x^0.1*(1-x)", lambda n: power_profile_coeffs(0.1, n)),
+        # A per-mode Gauss-Kronrod projection missed these by up to 3.9e-11.
+        ("abs(x-0.3)*x*(1-x)", kink_profile_coeffs),
+    ], ids=["sqrt", "power_0.1", "kink"])
+    def test_non_analytic_profiles_against_closed_forms(self, text, reference):
         prob = HeatProblem(L=1.0, k=0.003, alpha=0.5, beta=1.0,
-                           initial_profile=parse("sqrt(x)*(1-x)"), n_terms=51)
-        want = adaptive_coeffs(prob)
-        calls = counting_fallbacks(monkeypatch)
-        assert fourier_coeffs(prob) == want
-        assert len(calls) == 51
+                           initial_profile=parse(text), n_terms=51)
+        for n, (got, want) in enumerate(zip(fourier_coeffs(prob), reference(51)), start=1):
+            assert abs(got - want) <= 1e-12, n
+
+    def test_unresolved_profile_raises_with_the_best_coefficients(self):
+        prob = HeatProblem(L=1.0, k=0.003, alpha=0.5, beta=1.0,
+                           initial_profile=parse("x*(1-x)*sin(1000000*x)"), n_terms=3)
+        with pytest.raises(ToleranceNotMetError, match=r"n=\d .* after 512 panels") as info:
+            fourier_coeffs(prob)
+        assert len(info.value.best) == 3
+        assert all(math.isfinite(c) for c in info.value.best)
+
+    def test_unresolvable_spike_stops_at_the_narrowest_panel(self):
+        # The spike is 1e-150 wide: a panel of a few ulps would sample it on
+        # so few doubles that its two rules agree on a wrong value.
+        prob = HeatProblem(L=1.0, k=0.003, alpha=0.5, beta=1.0,
+                           initial_profile=parse("x*(1-x)/((x-0.31)^2+1e-300)"), n_terms=3)
+        with pytest.raises(ToleranceNotMetError) as info:
+            fourier_coeffs(prob)
+        assert len(info.value.best) == 3
+
+    def test_non_finite_sample_names_the_profile(self):
+        prob = HeatProblem(L=1.0, k=0.003, alpha=0.5, beta=1.0,
+                           initial_profile=parse("1e308*x*(1-x)*100"), n_terms=3)
+        with pytest.raises(ValidationError, match=r"initial profile 1e\+308\*x.* is not finite"):
+            fourier_coeffs(prob)
 
 
 class TestSolveHeat:
