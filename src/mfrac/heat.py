@@ -11,7 +11,6 @@ alpha < 1.
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 import sys
@@ -21,6 +20,7 @@ from .errors import require_int, require_positive, require_real
 from .expr import Expr, as_fn, evaluate, unparse
 from .fracderiv import require_order
 from .fracint import integrate_adaptive  # noqa: F401  (benchmarks/tracer.py wraps it)
+from .fracint import refine
 from .special import gamma
 
 __all__ = [
@@ -138,10 +138,6 @@ _WGL = (
     0.04857546744150343,
     0.048690957009139724,
 )
-# The projection's panel budget (x*(1-x)*sin(20000*x) needs 128) and narrowest
-# panel over L: a narrower one crowds its nodes onto a few doubles that agree falsely.
-_MAX_PANELS = 512
-_MIN_WIDTH = 2.0**-40
 
 
 def _gauss_samples(profile, a: float, b: float) -> list[tuple[float, float]]:
@@ -159,14 +155,14 @@ def _gauss_samples(profile, a: float, b: float) -> list[tuple[float, float]]:
 def fourier_coeffs(prob: HeatProblem) -> list[float]:
     """Sine-projection coefficients c_n = (2/L) * integral of f(x) sin(n pi x / L).
 
-    Adaptive 64-point Gauss-Legendre quadrature with profile samples shared
-    by all N modes, so a mode costs only its sines and multiply-adds.  A
-    panel's value is the rule on its two halves, its estimate per mode the gap
-    to the rule on the whole panel.  The panel whose worst mode has the
-    largest gap is halved until every mode's summed estimate is within the
-    tolerance.  An analytic profile settles on the first panel (192 samples).
-    Running out of panels raises ToleranceNotMetError, whose ``best`` holds
-    the unconverged coefficients; a non-finite sample raises ValidationError.
+    ``fracint.refine`` with one component per mode and a 64-point
+    Gauss-Legendre rule whose profile samples all N modes share, so a mode
+    costs only its sines and multiply-adds.  A panel's value is the rule on
+    its two halves, its estimate per mode the gap to the rule on the whole
+    panel, whose samples the parent panel hands down.  An analytic profile
+    settles on the first panel (192 samples).  Running out of panels raises
+    ToleranceNotMetError, whose ``best`` holds the unconverged coefficients;
+    a non-finite sample raises ValidationError.
 
     The tolerance is max(1e-12, 64 * eps * (2/L) * sum of |w_j f(x_j)|) over
     the one-panel samples.  Rounding in every coefficient grows with that
@@ -182,35 +178,21 @@ def fourier_coeffs(prob: HeatProblem) -> list[float]:
     def project(pairs):
         return [front * sum([s * math.sin(w * x) for s, x in pairs]) for w in freqs]
 
-    def panel(a, b, coarse):
-        """Heap entry (-worst gap, a, mid, b, values, gaps to ``coarse``, samples) of [a, b]."""
+    def rule(a, b, coarse):  # ``coarse``: the samples of one rule on [a, b]
         mid = 0.5 * (a + b)
         pairs = _gauss_samples(profile, a, mid) + _gauss_samples(profile, mid, b)
         values = project(pairs)
-        gaps = [abs(v - c) for v, c in zip(values, coarse)]
-        if not math.isfinite(sum(gaps)):
-            text = unparse(prob.initial_profile)
-            raise ValidationError(f"initial profile {text} is not finite on [{a!r}, {b!r}]")
-        return -max(gaps), a, mid, b, values, gaps, pairs
+        gaps = [abs(v - c) for v, c in zip(values, project(coarse))]
+        return values, gaps, pairs[:64], pairs[64:]
 
     whole = _gauss_samples(profile, 0.0, length)
     scale = front * sum([abs(s) for s, _ in whole])
     tol = max(_COEFF_ABS_TOL, _COEFF_ULPS * sys.float_info.epsilon * scale)
-    heap = [panel(0.0, length, project(whole))]
-    errors = heap[0][5]
-    while max(errors) > tol:
-        _, a, mid, b, _, gaps, pairs = heap[0]
-        if len(heap) >= _MAX_PANELS or b - a <= _MIN_WIDTH * length:
-            n = errors.index(max(errors)) + 1
-            raise ToleranceNotMetError(
-                f"coefficient n={n} did not reach tolerance: error estimate {errors[n - 1]:.3e} "
-                f"still above {tol:.3e} after {len(heap)} panels",
-                best=[math.fsum(c) for c in zip(*(entry[4] for entry in heap))],
-            )
-        heapq.heapreplace(heap, left := panel(a, mid, project(pairs[:64])))
-        heapq.heappush(heap, right := panel(mid, b, project(pairs[64:])))
-        errors = [e - g + l + r for e, g, l, r in zip(errors, gaps, left[5], right[5])]
-    return [math.fsum(c) for c in zip(*(entry[4] for entry in heap))]
+    try:
+        return refine(rule, 0.0, length, whole, tol, 0.0,
+                      f"initial profile {unparse(prob.initial_profile)}")[0]
+    except ToleranceNotMetError as exc:
+        raise ToleranceNotMetError(str(exc), best=exc.best[0]) from None
 
 
 class HeatSolution(Record):

@@ -363,6 +363,17 @@ class TestIntegrate:
         assert code == 0
         assert float(out.split(",")[0]) == pytest.approx(4.0, abs=1e-9)
 
+    def test_oscillating_integrand_gives_up_at_the_panel_budget(self, capsys):
+        # cos(1/x) oscillates without end toward a = 1e-300; the shared
+        # 512-panel budget, not a per-integral one, ends the refinement.
+        code, out, err = run_cli(
+            capsys, "integrate", "--f", "(x^1000)+cos(1/x)", "--a", "1e-300", "--t", "0.5",
+            "--alpha", "0.5", "--beta", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err and "after 512 panels" in err
+
 
 class TestOde:
     def test_table_with_residuals(self, capsys):

@@ -121,10 +121,6 @@ COUNT_ENTRIES = {
     "deriv_higher_limit-n": (
         lambda n: deriv_higher_limit(cubic_derivs, FracParams(1.5, 1.0), n, 2.0), 0),
     "QuadratureResult-subdivisions": (lambda n: QuadratureResult(0.0, 0.0, n), 1),
-    "integrate_adaptive-max_depth": (
-        lambda n: integrate_adaptive(math.sin, 0.0, 1.0, max_depth=n), 1),
-    "integrate_adaptive-max_panels": (
-        lambda n: integrate_adaptive(math.sin, 0.0, 1.0, max_panels=n), 1),
 }
 
 
