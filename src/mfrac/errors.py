@@ -1,5 +1,5 @@
 """Exception types, the immutable record base and the input checks shared
-across the package: every real and every count is checked here."""
+across the package: every real, count and order is checked here."""
 
 import math
 
@@ -60,6 +60,18 @@ def require_int(name: str, value, minimum: int):
     if isinstance(value, int) and not isinstance(value, bool) and value >= minimum:
         return value
     raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def require_order(alpha, closed: bool, n: int = 0):
+    """Return ``alpha`` unchanged when it is a real in (n, n + 1), or in
+    (n, n + 1] when ``closed`` admits the classical edge; otherwise raise
+    ValidationError.  ``n`` is the order of a higher derivative."""
+    if n < require_real("alpha", alpha) < n + 1 or (closed and alpha == n + 1):
+        return alpha
+    order = f" for order n={n}" if n else ""
+    raise ValidationError(
+        f"alpha must lie in ({n}, {n + 1}{']' if closed else ')'}{order}, got {alpha}"
+    )
 
 
 class Record:

@@ -4,6 +4,8 @@ The closed form t^(1-alpha) * f'(t) / Gamma(beta+1) is the workhorse; the
 limit-definition estimator exists to validate it numerically and to realize
 the special-case families (conformable, alternative, generalized, and the
 untruncated kernel) that correspond to particular (beta, truncation) choices.
+One rule, ``_settle``, judges both limits taken here: the Richardson table of
+the quotient as eps -> 0 and the Aitken rounds of the closed form as t -> 0+.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from collections.abc import Callable
 
 from .errors import ConvergenceError, Record, ValidationError
-from .errors import require_int, require_positive, require_real
+from .errors import require_int, require_order, require_positive, require_real
 from .expr import DualNumber
 from .special import INFINITY, MLParams, TruncationIndex, gamma, ml_kernel
 from .special import ml_truncated  # noqa: F401  (public name; benchmarks/tracer.py wraps it)
@@ -52,6 +54,8 @@ class FracParams(Record):
     def __init__(self, alpha: float, beta: float, trunc: TruncationIndex = INFINITY):
         if not isinstance(trunc, TruncationIndex):
             raise ValidationError(f"trunc must be a TruncationIndex, got {trunc!r}")
+        if trunc.value == 0:
+            raise ValidationError("a derivative needs a truncation index >= 1, got 0")
         require_positive("alpha", alpha)
         require_positive("beta", beta)
         super().__init__(alpha, beta, trunc)
@@ -71,20 +75,11 @@ class LimitEstimate(Record):
         super().__init__(value, eps_used, extrapolation_error)
 
 
-def require_order(alpha, closed: bool):
-    """Return ``alpha`` unchanged when it is a real in (0, 1), or in (0, 1]
-    when ``closed`` admits the classical edge; otherwise raise ValidationError."""
-    if 0.0 < require_real("alpha", alpha) < 1.0 or (closed and alpha == 1.0):
-        return alpha
-    raise ValidationError(f"alpha must lie in (0, 1{']' if closed else ')'}, got {alpha}")
-
-
 def deriv_closed(f_dual: DualFn, p: FracParams, t: float) -> float:
     """Closed-form derivative t^(1-alpha) * f'(t) / Gamma(beta+1).
 
     Independent of the truncation index by construction; it matches the
-    limit definition for every truncation >= 1 (a zero truncation makes the
-    kernel sum constant, so that limit is identically 0).
+    limit definition for every truncation.
     """
     require_order(p.alpha, closed=True)
     require_positive("t", t)
@@ -92,18 +87,14 @@ def deriv_closed(f_dual: DualFn, p: FracParams, t: float) -> float:
     return t ** (1.0 - p.alpha) * d.der / gamma(p.beta + 1.0)
 
 
-def _extrapolate_first_order(q, eps0):
-    """Richardson-extrapolate q(eps) -> q(0) over the schedule eps0 * 2^-j.
+def _richardson(q, eps0):
+    """Yield the diagonal of the Richardson table of q(eps) -> q(0) over the
+    schedule eps0 * 2^-j, j = 0.._MAX_LEVELS, one level per pull.
 
     Assumes an error expansion in integer powers of eps with a linear leading
-    term. Returns (value, last_increment, smallest_eps).  Raises
-    ConvergenceError when the diagonal never settles within _LIMIT_SETTLE_REL.
+    term.  A non-finite quotient raises ConvergenceError.
     """
     prev_row = None
-    prev_diag = None
-    best_val = None
-    best_inc = math.inf
-    best_eps = eps0
     for j in range(_MAX_LEVELS + 1):
         eps = eps0 * 0.5**j
         q_val = q(eps)
@@ -111,32 +102,39 @@ def _extrapolate_first_order(q, eps0):
             raise ConvergenceError(f"difference quotient not finite at eps={eps}")
         row = [q_val]
         if prev_row is not None:
+            fac = 1.0
             for m in range(1, j + 1):
-                fac = float(2**m)
+                fac *= 2.0
                 row.append((fac * row[m - 1] - prev_row[m - 1]) / (fac - 1.0))
-        diag = row[-1]
-        if not math.isfinite(diag):
-            break
-        if prev_diag is not None:
-            inc = abs(diag - prev_diag)
-            if inc < best_inc:
-                best_val, best_inc, best_eps = diag, inc, eps
-            if inc <= 1e-13 * (1.0 + abs(diag)):
-                break
-            # Increments growing well past the best level means rounding noise
-            # has taken over; deeper levels only get worse.
-            if j >= 6 and inc > 16.0 * best_inc:
-                break
-        prev_diag = diag
+        yield row[-1]
         prev_row = row
-    if best_val is None:
-        raise ConvergenceError("extrapolation produced no usable increments")
-    if best_inc > _LIMIT_SETTLE_REL * (1.0 + abs(best_val)):
+
+
+def _settle(estimates, rel: float, what: str):
+    """(value, change, index) of the estimate that changed least from the one
+    before it, pulled lazily until an estimate is not finite, a change is at
+    most 1e-13 * (1 + |value|), or, from the seventh estimate on, a change
+    exceeds 16 times the best: rounding noise has taken over.  Raises
+    ConvergenceError naming ``what`` when no change can be compared or the
+    best exceeds rel * (1 + |value|)."""
+    best, best_change, best_j, prev = None, math.inf, 0, None
+    for j, value in enumerate(estimates):
+        if not math.isfinite(value):
+            break
+        if prev is not None:
+            change = abs(value - prev)
+            if change < best_change:
+                best, best_change, best_j = value, change, j
+            if change <= 1e-13 * (1.0 + abs(value)) or (j >= 6 and change > 16.0 * best_change):
+                break
+        prev = value
+    if best is None:
+        raise ConvergenceError(f"{what} gave no two finite estimates to compare")
+    if best_change > rel * (1.0 + abs(best)):
         raise ConvergenceError(
-            f"extrapolants failed to settle: increment {best_inc:.3e} "
-            f"against value {best_val:.6e}"
+            f"{what} did not settle: change {best_change:.3e} against value {best:.6e}"
         )
-    return best_val, best_inc, best_eps
+    return best, best_change, best_j
 
 
 def _quotient_limit(g: RealFn, p: FracParams, t: float, n: int) -> LimitEstimate:
@@ -161,16 +159,14 @@ def _quotient_limit(g: RealFn, p: FracParams, t: float, n: int) -> LimitEstimate
     eps0 = 1e-2 * t ** (p.alpha - n)
     # The defining limit is two-sided; requiring both signs to agree is what
     # lets a jump in g show up as a convergence failure instead of a bogus 0.
-    vp, ip, ep = _extrapolate_first_order(q, eps0)
-    vm, im, em = _extrapolate_first_order(q, -eps0)
+    vp, ip, jp = _settle(_richardson(q, eps0), _LIMIT_SETTLE_REL, "the limit for eps > 0")
+    vm, im, jm = _settle(_richardson(q, -eps0), _LIMIT_SETTLE_REL, "the limit for eps < 0")
     gap = abs(vp - vm)
     if gap > _LIMIT_SETTLE_REL * (1.0 + abs(vp)):
-        raise ConvergenceError(
-            f"one-sided limits disagree: {vp:.9e} versus {vm:.9e}"
-        )
+        raise ConvergenceError(f"one-sided limits disagree: {vp:.9e} versus {vm:.9e}")
     return LimitEstimate(
         value=0.5 * (vp + vm),
-        eps_used=min(abs(ep), abs(em)),
+        eps_used=eps0 * 0.5 ** max(jp, jm),
         extrapolation_error=max(ip, im, 0.5 * gap),
     )
 
@@ -187,11 +183,29 @@ def deriv_limit(f: RealFn, p: FracParams, t: float) -> LimitEstimate:
     return _quotient_limit(f, p, t, 0)
 
 
+def _aitken(seq):
+    """Yield the last entry of ``seq`` and then of each of five rounds of
+    iterated Aitken acceleration; an entry whose step is degenerate or not
+    finite passes through unaccelerated."""
+    yield seq[-1]
+    for _ in range(5):
+        nxt = []
+        for i in range(len(seq) - 2):
+            d2 = seq[i + 2] - 2.0 * seq[i + 1] + seq[i]
+            if d2 == 0.0 or not math.isfinite(d2):
+                nxt.append(seq[i + 2])
+                continue
+            accel = seq[i + 2] - (seq[i + 2] - seq[i + 1]) ** 2 / d2
+            nxt.append(accel if math.isfinite(accel) else seq[i + 2])
+        seq = nxt
+        yield seq[-1]
+
+
 def deriv_at_zero(f_dual: DualFn, p: FracParams) -> float:
     """One-sided derivative at 0, as the limit of deriv_closed(t) for t -> 0+.
 
-    Samples t_k = 2^-k for k = 4..40 and extrapolates the sequence with
-    iterated Aitken acceleration; a diverging sequence raises ConvergenceError.
+    Samples t_k = 2^-k for k = 4..40 and settles iterated Aitken rounds of
+    that sequence within 1e-8; a diverging sequence raises ConvergenceError.
     """
     require_order(p.alpha, closed=False)
     vals = []
@@ -202,36 +216,7 @@ def deriv_at_zero(f_dual: DualFn, p: FracParams) -> float:
         vals.append(v)
     if abs(vals[-1]) > 1e6 * (1.0 + abs(vals[0])):
         raise ConvergenceError("derivative diverges approaching 0")
-    estimates = [vals[-1]]
-    seq = vals
-    for _ in range(5):
-        if len(seq) < 3:
-            break
-        nxt = []
-        for i in range(len(seq) - 2):
-            d2 = seq[i + 2] - 2.0 * seq[i + 1] + seq[i]
-            if d2 == 0.0 or not math.isfinite(d2):
-                nxt.append(seq[i + 2])
-                continue
-            accel = seq[i + 2] - (seq[i + 2] - seq[i + 1]) ** 2 / d2
-            nxt.append(accel if math.isfinite(accel) else seq[i + 2])
-        seq = nxt
-        estimates.append(seq[-1])
-    best = None
-    best_gap = math.inf
-    for prev, cur in zip(estimates, estimates[1:]):
-        gap = abs(cur - prev)
-        if gap < best_gap:
-            best, best_gap = cur, gap
-    if best is None or best_gap > _AT_ZERO_SETTLE_REL * (1.0 + abs(best)):
-        raise ConvergenceError("limit of the derivative at 0 did not settle")
-    return best
-
-
-def _check_higher_order(p: FracParams, n: int):
-    require_int("n", n, 0)
-    if not n < p.alpha <= n + 1:
-        raise ValidationError(f"alpha must lie in ({n}, {n + 1}] for order n={n}, got {p.alpha}")
+    return _settle(_aitken(vals), _AT_ZERO_SETTLE_REL, "the limit of the derivative at 0")[0]
 
 
 def deriv_higher(f_derivs: Callable[[float, int], float], p: FracParams, n: int, t: float) -> float:
@@ -240,7 +225,8 @@ def deriv_higher(f_derivs: Callable[[float, int], float], p: FracParams, n: int,
     ``f_derivs(t, m)`` must return the exact m-th classical derivative; the
     operator consumes orders n and n+1.
     """
-    _check_higher_order(p, n)
+    require_int("n", n, 0)
+    require_order(p.alpha, closed=True, n=n)
     require_positive("t", t)
     return t ** (n + 1 - p.alpha) * f_derivs(t, n + 1) / gamma(p.beta + 1.0)
 
@@ -253,7 +239,8 @@ def deriv_higher_limit(
     Extrapolates [f^(n)(t * E(eps * t^(n-alpha))) - f^(n)(t)] / eps with the
     same machinery as deriv_limit.
     """
-    _check_higher_order(p, n)
+    require_int("n", n, 0)
+    require_order(p.alpha, closed=True, n=n)
     require_positive("t", t)
     return _quotient_limit(lambda x: f_derivs(x, n), p, t, n)
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 import heapq
 import math
 
-from .errors import Record, ToleranceNotMetError, ValidationError, require_int, require_real
-from .fracderiv import DualFn, FracParams, RealFn, deriv_closed, deriv_limit, require_order
+from .errors import Record, ToleranceNotMetError, ValidationError
+from .errors import require_int, require_order, require_real
+from .fracderiv import DualFn, FracParams, RealFn, deriv_closed, deriv_limit
 from .special import gamma
 
 __all__ = [
@@ -151,8 +152,9 @@ def integrate_adaptive(
     """Integral of f over [a, b] by ``refine`` with the G7/K15 rule, the
     summed raw gaps |K15 - G7| at or below max(abs_tol, rel_tol * |value|).
 
-    Reaching refine's panel budget or width floor raises
-    ToleranceNotMetError whose ``best`` is the unconverged QuadratureResult.
+    With b < a the value is negated.  Reaching refine's panel budget or width
+    floor raises ToleranceNotMetError whose ``best`` is the unconverged
+    QuadratureResult, signed the same way.
     """
     require_real("a", a)
     require_real("b", b)
@@ -162,16 +164,15 @@ def integrate_adaptive(
         raise ValidationError("tolerances must be non-negative and not both zero")
     if a == b:
         return QuadratureResult(0.0, 0.0, 1)
-    if b < a:
-        flipped = integrate_adaptive(f, b, a, abs_tol=abs_tol, rel_tol=rel_tol)
-        return QuadratureResult(-flipped.value, flipped.abs_error_estimate, flipped.subdivisions)
+    a, b, sign = (a, b, 1.0) if a < b else (b, a, -1.0)
     rule = lambda lo, hi, _: _kronrod_panel(f, lo, hi)
     try:
-        values, errors, panels = refine(rule, a, b, None, abs_tol, rel_tol, "the integrand")
+        (value,), (error,), panels = refine(rule, a, b, None, abs_tol, rel_tol, "the integrand")
     except ToleranceNotMetError as exc:
         (value,), (error,), panels = exc.best
-        raise ToleranceNotMetError(str(exc), best=QuadratureResult(value, error, panels)) from None
-    return QuadratureResult(values[0], errors[0], panels)
+        best = QuadratureResult(sign * value, error, panels)
+        raise ToleranceNotMetError(str(exc), best=best) from None
+    return QuadratureResult(sign * value, error, panels)
 
 
 def mfrac_integral(f: RealFn, a: float, t: float, p: FracParams) -> QuadratureResult:

@@ -16,9 +16,8 @@ import operator
 import sys
 
 from .errors import DomainError, Record, ToleranceNotMetError, ValidationError
-from .errors import require_int, require_positive, require_real
+from .errors import require_int, require_order, require_positive, require_real
 from .expr import Expr, as_fn, evaluate, unparse
-from .fracderiv import require_order
 from .fracint import integrate_adaptive  # noqa: F401  (benchmarks/tracer.py wraps it)
 from .fracint import refine
 from .special import gamma

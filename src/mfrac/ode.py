@@ -18,9 +18,9 @@ import math
 from collections.abc import Callable
 
 from .errors import ConvergenceError, DomainError, Record, ValidationError
-from .errors import require_int, require_positive, require_real
+from .errors import require_int, require_order, require_positive, require_real
 from .expr import DualNumber
-from .fracderiv import DualFn, FracParams, RealFn, deriv_closed, require_order
+from .fracderiv import DualFn, FracParams, RealFn, deriv_closed
 from .special import gamma
 
 __all__ = [

@@ -116,6 +116,15 @@ class TestDeriv:
         assert code == 0
         assert float(out) == pytest.approx(math.cos(1.0) / 2.0, rel=1e-12)
 
+    def test_zero_truncation_exits_one(self, capsys):
+        for method in ("closed", "limit", "both"):
+            code, out, err = run_cli(
+                capsys, "deriv", "--f", "x", "--alpha", "0.5", "--beta", "1", "--i", "0",
+                "--t", "1", "--method", method,
+            )
+            assert (code, out) == (1, "")
+            assert "truncation index" in err
+
     def test_bad_expression_exits_one(self, capsys):
         code, _, err = run_cli(
             capsys, "deriv", "--f", "sin(", "--alpha", "0.5", "--beta", "1", "--t", "1",

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from _support import X, assert_close, eval_fn, random_params, random_poly_trig, substitute
+from mfrac import fracderiv
 from mfrac.errors import ConvergenceError, ValidationError
 from mfrac.expr import (
     Add,
@@ -32,7 +33,7 @@ from mfrac.fracderiv import (
     mvt_witness,
     rolle_witness,
 )
-from mfrac.special import INFINITY, TruncationIndex
+from mfrac.special import INFINITY, MLParams, TruncationIndex
 
 
 def fp(alpha, beta, i=None):
@@ -50,6 +51,13 @@ class TestParams:
         p = fp(0.5, 2.0, 4)
         assert p.ml_params().beta == 2.0
         assert p.ml_params().trunc.value == 4
+
+    def test_zero_truncation_rejected(self):
+        # With i = 0 the kernel sum is the constant 1, so the operator would be
+        # identically zero; the kernel itself still admits it.
+        with pytest.raises(ValidationError, match="truncation index"):
+            FracParams(0.5, 1.0, TruncationIndex(0))
+        assert MLParams(1.0, TruncationIndex(0)).trunc.value == 0
 
     def test_order_windows(self):
         f = as_dual_fn(parse("x"))
@@ -87,7 +95,7 @@ class TestClosedForm:
 
     def test_independent_of_truncation(self):
         f = as_dual_fn(parse("exp(x)"))
-        values = {deriv_closed(f, fp(0.4, 1.5, i), 1.7) for i in (0, 1, 5, None)}
+        values = {deriv_closed(f, fp(0.4, 1.5, i), 1.7) for i in (1, 5, None)}
         assert len(values) == 1
 
 
@@ -121,6 +129,17 @@ class TestLimitEstimator:
         with pytest.raises(ConvergenceError):
             deriv_limit(kink, fp(0.5, 1.0), 1.0)
 
+    def test_quotient_evaluated_lazily(self):
+        # g(t) once, then one quotient per Richardson level actually judged.
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return math.exp(x)
+
+        deriv_limit(g, fp(0.5, 1.0), 1.3)
+        assert len(calls) == 21
+
     def test_agreement_grid_subset(self):
         # The wide (f, alpha, beta, i, t) sweep lives in the acceptance suite.
         for source in ("x^2", "sin(x)"):
@@ -133,6 +152,42 @@ class TestLimitEstimator:
                             closed = deriv_closed(fd, p, t)
                             est = deriv_limit(f, p, t)
                             assert abs(est.value - closed) <= 1e-6 * (1.0 + abs(closed))
+
+
+def pulls(values):
+    """Yield ``values``, then fail the test if pulled once more."""
+    yield from values
+    raise AssertionError("pulled past the stop")
+
+
+class TestSettle:
+    def test_smallest_change_wins(self):
+        value, change, index = fracderiv._settle(iter([1.0, 1.5, 1.25, 1.3, 1.2]), 0.1, "seq")
+        assert (value, change, index) == (1.3, abs(1.3 - 1.25), 3)
+
+    def test_stops_at_non_finite(self):
+        assert fracderiv._settle(pulls([1.0, 1.5, math.inf]), 1.0, "seq") == (1.5, 0.5, 1)
+
+    def test_stops_once_settled_without_pulling_further(self):
+        value, change, index = fracderiv._settle(pulls([1.0, 1.5, 1.5 + 1e-14]), 1e-6, "seq")
+        assert (value, index) == (1.5 + 1e-14, 2)
+        assert change <= 1e-13 * (1.0 + value)
+
+    def test_stops_on_noise_from_the_seventh_estimate(self):
+        # The jumps at indices 3 and 4 exceed 16 times the best change but come
+        # before the seventh estimate; the jump at index 6 ends the pull.
+        seq = [1.0, 2.0, 2.001, 9.0, 2.0005, 2.0006, 50.0]
+        value, change, index = fracderiv._settle(pulls(seq), 1e-3, "seq")
+        assert (value, change, index) == (2.0006, abs(2.0006 - 2.0005), 5)
+
+    def test_raises_when_not_settled(self):
+        with pytest.raises(ConvergenceError, match="the test sequence did not settle"):
+            fracderiv._settle(iter([1.0, 2.0, 4.0]), 1e-6, "the test sequence")
+
+    def test_raises_without_two_finite_estimates(self):
+        for seq in ([], [1.0], [math.nan, 1.0, 1.0]):
+            with pytest.raises(ConvergenceError, match="the test sequence gave no two"):
+                fracderiv._settle(iter(seq), 1e-6, "the test sequence")
 
 
 class TestAtZero:
@@ -177,6 +232,12 @@ class TestHigherOrder:
             deriv_higher(_cubic_derivs, fp(1.5, 1.0), 2, 2.0)
         with pytest.raises(ValidationError):
             deriv_higher(_cubic_derivs, fp(1.5, 1.0), -1, 2.0)
+
+    def test_order_window_messages(self):
+        with pytest.raises(ValidationError, match=r"\(1, 2\] for order n=1, got 2.5"):
+            deriv_higher_limit(_cubic_derivs, fp(2.5, 1.0), 1, 2.0)
+        with pytest.raises(ValidationError, match=r"\(0, 1\], got 1.5"):
+            deriv_higher(_cubic_derivs, fp(1.5, 1.0), 0, 2.0)
 
     def test_limit_cross_validation(self):
         for alpha, beta, i in [(1.5, 1.0, None), (1.2, 2.0, 4), (2.0, 0.5, 1)]:

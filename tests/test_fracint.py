@@ -40,6 +40,16 @@ class TestAdaptiveQuadrature:
         rev = integrate_adaptive(math.exp, 1.0, 0.0)
         assert rev.value == -fwd.value
 
+    def test_reversed_interval_negates_best(self):
+        wild = lambda x: math.sin(1.0 / x) if x else 0.0
+        bests = []
+        for a, b in ((1e-9, 1.0), (1.0, 1e-9)):
+            with pytest.raises(ToleranceNotMetError) as err:
+                integrate_adaptive(wild, a, b)
+            bests.append(err.value.best)
+        fwd, rev = bests
+        assert rev == QuadratureResult(-1.0 * fwd.value, fwd.abs_error_estimate, fwd.subdivisions)
+
     def test_empty_interval(self):
         r = integrate_adaptive(math.exp, 1.0, 1.0)
         assert r == QuadratureResult(0.0, 0.0, 1)
