@@ -237,10 +237,11 @@ def deriv_higher_limit(
     """Limit-definition counterpart of deriv_higher for cross-validation.
 
     Extrapolates [f^(n)(t * E(eps * t^(n-alpha))) - f^(n)(t)] / eps with the
-    same machinery as deriv_limit.
+    same machinery as deriv_limit.  Order n = 0 is deriv_limit's operator and
+    takes its open window 0 < alpha < 1; n >= 1 admits alpha = n + 1.
     """
     require_int("n", n, 0)
-    require_order(p.alpha, closed=True, n=n)
+    require_order(p.alpha, closed=n > 0, n=n)
     require_positive("t", t)
     return _quotient_limit(lambda x: f_derivs(x, n), p, t, n)
 

@@ -1,7 +1,10 @@
-"""Scalar special-function kernel: log-gamma and the truncated Mittag-Leffler sum.
+"""Scalar special-function kernel: Gamma, log-gamma and the truncated Mittag-Leffler sum.
 
-Everything here is plain float arithmetic with no third-party numerics, so the
-accuracy notes below are self-contained and checked by the test suite.
+Gamma and log-gamma are the standard library's ``math.gamma`` and
+``math.lgamma`` behind the package's input checks; Gamma(n) is exact for the
+integers n = 1..23.  The kernel sum is plain float arithmetic with no
+third-party numerics, so its accuracy notes below are self-contained and
+checked by the test suite.
 """
 
 from __future__ import annotations
@@ -22,27 +25,9 @@ __all__ = [
     "ml_truncated",
 ]
 
-# Lanczos coefficients for g = 7 with a 9-term series (Godfrey's tableau).
-# Measured against a 40-digit reference on [0.5, 200]: absolute error < 2e-15,
-# relative error < 1e-13 except within ~1e-2 of the zeros of ln(gamma) at
-# x = 1 and x = 2, where the error stays at the same absolute level.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_INF_TAIL_REL = 1e-16
 # A term at most this fraction of |total| is below a quarter ulp of the total,
 # so adding it leaves the total unchanged.
-_FINITE_TAIL_REL = 2.0**-55
+_TAIL_REL = 2.0**-55
 _INF_TERM_CAP = 500
 # Largest tolerated ratio sum|term| / |sum| before an alternating sum is
 # declared numerically meaningless: beyond it, cancellation alone would eat
@@ -51,33 +36,32 @@ _CANCELLATION_LIMIT = 32.0
 
 
 def ln_gamma(x: float) -> float:
-    """Natural logarithm of the gamma function for real x > 0."""
+    """Natural logarithm of the gamma function for real x > 0: ``math.lgamma``.
+
+    Above about 2.6e305 the value exceeds the largest double and is inf.
+    """
     x = float(require_real("x", x))
     if not x > 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # Reflection keeps the rational series inside its accurate range.
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    z = x - 1.0
-    series = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        series += _LANCZOS[i] / (z + i)
-    w = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(w) - w + math.log(series)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def gamma(x: float) -> float:
-    """Gamma(x) for x > 0, evaluated as exp(ln_gamma(x)).
+    """Gamma(x) for real x > 0: ``math.gamma``.
 
-    Beyond x ~ 171.6 the value exceeds the largest double: DomainError.
+    When the value exceeds the largest double (x above about 171.6 or below
+    about 5.6e-309), DomainError.
     """
+    x = float(require_real("x", x))
+    if not x > 0.0:
+        raise DomainError(f"gamma requires x > 0, got {x}")
     try:
-        value = math.exp(ln_gamma(x))
+        return math.gamma(x)
     except OverflowError:
-        value = math.inf
-    if value == math.inf:
-        raise DomainError(f"Gamma({x}) exceeds the largest double")
-    return value
+        raise DomainError(f"Gamma({x}) exceeds the largest double") from None
 
 
 class TruncationIndex(Record):
@@ -122,16 +106,18 @@ def ml_kernel(p: MLParams) -> Callable[[float], float]:
     serves any number of arguments.  The table holds at most 501 entries; a
     finite truncation beyond that computes its later weights on every call.
 
-    With an infinite truncation the summation stops once the next term drops
-    below 1e-16 of the running absolute sum; needing more than 500 terms
-    raises ConvergenceError.  Alternating sums (z < 0) that would cancel away
-    more than the target accuracy also raise ConvergenceError, except for
-    beta = 1 where exp(z) = 1/exp(-z) reflects the evaluation onto the
-    well-conditioned positive side.  With any truncation, a term or a total
-    that overflows raises ConvergenceError.  A finite truncation stops at the
-    first term of at most 2^-55 * |total|, a quarter ulp: that term and every
-    later, smaller one leave the total unchanged, so the sum is bitwise that
-    of all terms up to i, and its cost does not grow with i beyond that point.
+    Every truncation stops at the first term of at most 2^-55 * |total|, a
+    quarter ulp: that term and every later, smaller one leave the total
+    unchanged.  A finite sum is therefore bitwise that of all terms up to i,
+    and its cost does not grow with i beyond that point.  A term or a total
+    that overflows raises ConvergenceError.
+
+    Three guards apply to the infinite truncation only.  Needing more than
+    500 terms raises ConvergenceError.  Alternating sums (z < 0) that would
+    cancel away more than the target accuracy also raise ConvergenceError,
+    except for beta = 1, where exp(z) = 1/exp(-z) reflects the evaluation
+    onto the well-conditioned positive side.  A finite truncation is a
+    polynomial, and it is summed as one.
     """
     beta = p.beta
     infinite = p.trunc.is_infinite
@@ -163,10 +149,7 @@ def ml_kernel(p: MLParams) -> Callable[[float], float]:
             # k*ln|z| - ln_gamma(beta*k + 1) is concave in k and 0 at k = 0.
             # Up to the largest term each term is at least |total| / k, so a
             # term this small comes after it and every later one is smaller.
-            if infinite:
-                if mag < _INF_TAIL_REL * abs_sum:
-                    break
-            elif mag <= _FINITE_TAIL_REL * abs(total):
+            if mag <= _TAIL_REL * abs(total):
                 break
             total += -mag if negative and k % 2 == 1 else mag
             abs_sum += mag

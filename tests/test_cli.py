@@ -116,6 +116,15 @@ class TestDeriv:
         assert code == 0
         assert float(out) == pytest.approx(math.cos(1.0) / 2.0, rel=1e-12)
 
+    def test_closed_cube_is_exact(self, capsys):
+        # 4^0.5 * 3 * 4^2 / Gamma(3) = 48: every factor is exact in floats.
+        code, out, _ = run_cli(
+            capsys, "deriv", "--f", "x^3", "--alpha", "0.5", "--beta", "2",
+            "--t", "4", "--method", "closed",
+        )
+        assert code == 0
+        assert out.strip() == "48.0"
+
     def test_zero_truncation_exits_one(self, capsys):
         for method in ("closed", "limit", "both"):
             code, out, err = run_cli(
@@ -324,6 +333,34 @@ class TestColdStart:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_runtime_uses_only_the_standard_library(self, tmp_path):
+        # Every subcommand runs in one -S interpreter; afterwards each loaded
+        # top-level module must be mfrac, the script itself or part of the
+        # standard library.
+        out = str(tmp_path)
+        calls = [
+            ["ml-eval", "--z", "0.7", "--beta", "0.5", "--i", "inf"],
+            ["deriv", "--f", "sin(x)", "--alpha", "0.5", "--beta", "2", "--t", "1.2"],
+            ["integrate", "--f", "x^2", "--a", "0", "--t", "1", "--alpha", "0.5", "--beta", "1"],
+            ["ode", "--mu-sq", "2", "--sign", "minus", "--c", "1", "--alpha", "0.5",
+             "--beta", "1", "--t", "0.5"],
+            ["heat", "--L", "1", "--k", "0.01", "--alpha", "0.5", "--beta", "1",
+             "--f", "x*(1-x)", "--n-terms", "5", "--t", "1", "--x-points", "5",
+             "--output", os.path.join(out, "heat.csv")],
+            ["compare", "--f", "x^2", "--alpha", "0.5", "--t", "1"],
+            ["figures", "--output-dir", out],
+        ]
+        proc = run_python(
+            "-S", "-c",
+            "import sys\n"
+            "from mfrac import cli\n"
+            f"codes = [cli.main(argv) for argv in {calls!r}]\n"
+            "top = {name.partition('.')[0] for name in sys.modules}\n"
+            "print(codes, sorted(top - set(sys.stdlib_module_names) - {'__main__', 'mfrac'}))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{[0] * len(calls)} []"
 
     def test_config_file_still_loads(self, tmp_path):
         out_path = tmp_path / "o.csv"

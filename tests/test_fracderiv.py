@@ -247,6 +247,17 @@ class TestHigherOrder:
             est = deriv_higher_limit(_cubic_derivs, p, n, 2.0)
             assert abs(est.value - closed) <= 1e-6 * (1.0 + abs(closed))
 
+    def test_order_zero_limit_shares_deriv_limits_window(self):
+        # n = 0 is the first-order limit operator: alpha = 1 is outside (0, 1)
+        # for both entry points, and inside it they agree bitwise.
+        sine = lambda t, m: (math.sin(t), math.cos(t))[m]
+        for entry in (lambda p: deriv_limit(math.sin, p, 1.3),
+                      lambda p: deriv_higher_limit(sine, p, 0, 1.3)):
+            with pytest.raises(ValidationError, match=r"\(0, 1\), got 1.0"):
+                entry(fp(1.0, 1.0))
+        p = fp(0.6, 1.5)
+        assert deriv_higher_limit(sine, p, 0, 1.3) == deriv_limit(math.sin, p, 1.3)
+
 
 class TestFamilies:
     def test_parameter_mappings(self):

@@ -44,6 +44,14 @@ def ml_reference(z, beta, i=None):
         return float(total)
 
 
+def lgamma_reference(x):
+    """ln(Gamma(x)) at 40 digits, rounded to float."""
+    from mpmath import mp, mpf
+
+    with mp.workdps(40):
+        return float(mp.loggamma(mpf(x)))
+
+
 class TestLnGamma:
     def test_unit_values(self):
         # Gamma(1) = Gamma(2) = 1, so the logs must vanish to rounding level.
@@ -58,18 +66,35 @@ class TestLnGamma:
         rng = random.Random(7)
         for _ in range(3000):
             x = math.exp(rng.uniform(math.log(0.5), math.log(200.0)))
-            ref = math.lgamma(x)
+            ref = lgamma_reference(x)
             # Relative near-zero crossings of ln(gamma) degrades to absolute scale.
             assert abs(ln_gamma(x) - ref) <= 1e-13 * max(1.0, abs(ref))
 
     def test_pure_relative_away_from_zeros(self):
         for x in (0.5, 0.7, 3.0, 4.5, 11.0, 26.0, 57.0, 123.0, 200.0):
-            ref = math.lgamma(x)
+            ref = lgamma_reference(x)
             assert abs(ln_gamma(x) - ref) <= 1e-13 * abs(ref)
 
-    def test_reflection_below_half(self):
+    def test_small_arguments(self):
         for x in (0.05, 0.1, 0.25, 0.49):
-            assert abs(ln_gamma(x) - math.lgamma(x)) <= 1e-12 * abs(math.lgamma(x))
+            ref = lgamma_reference(x)
+            assert abs(ln_gamma(x) - ref) <= 1e-12 * abs(ref)
+
+    def test_smallest_subnormal_is_finite(self):
+        # ln(Gamma(x)) ~ -ln(x) near 0, about 744.44 at the smallest double.
+        value = ln_gamma(5e-324)
+        assert math.isfinite(value)
+        assert abs(value - lgamma_reference(5e-324)) <= 1e-13 * abs(value)
+
+    def test_overflow_is_inf(self):
+        # ln(Gamma(1e306)) ~ 7e308 exceeds the largest double.
+        assert ln_gamma(1e306) == math.inf
+        # Every term's weight is then inf, so the kernel sum stops at 1.
+        assert ml_truncated(2.0, MLParams(1e306)) == 1.0
+
+    def test_gamma_is_exact_at_small_integers(self):
+        for n in range(1, 24):
+            assert gamma(float(n)) == math.factorial(n - 1), n
 
     def test_gamma_convenience(self):
         assert gamma(3.0) == pytest.approx(2.0, rel=1e-13)
