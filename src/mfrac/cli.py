@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import math
 import os
 import sys
 
 from .errors import ConvergenceError, DomainError, Record, ValidationError
-from .errors import require_int, require_positive, require_real
+from .errors import require_finite, require_int, require_positive, require_real
 from .expr import as_dual_fn, as_fn, parse
 from .fracderiv import (
     DerivFamily,
@@ -167,13 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _finite(name: str, value: float) -> float:
-    """``value`` when it is finite; a DomainError naming the quantity otherwise."""
-    if not math.isfinite(value):
-        raise DomainError(f"the {name} is not finite ({value!r})")
-    return value
-
-
 def _cmd_ml_eval(args) -> int:
     value = ml_truncated(args.z, MLParams(args.beta, args.i))
     print(repr(value))
@@ -184,15 +176,15 @@ def _cmd_deriv(args) -> int:
     tree = parse(args.f)
     p = FracParams(args.alpha, args.beta, args.i)
     if args.method != "limit":
-        closed = _finite("closed-form derivative", deriv_closed(as_dual_fn(tree), p, args.t))
+        closed = require_finite("closed-form derivative", deriv_closed(as_dual_fn(tree), p, args.t))
     if args.method == "closed":
         print(repr(closed))
         return 0
-    limit = _finite("limit derivative", deriv_limit(as_fn(tree), p, args.t).value)
+    limit = require_finite("limit derivative", deriv_limit(as_fn(tree), p, args.t).value)
     if args.method == "limit":
         print(repr(limit))
         return 0
-    gap = _finite("gap between the closed-form and limit derivatives", abs(closed - limit))
+    gap = require_finite("gap between the closed-form and limit derivatives", abs(closed - limit))
     print(f"{closed!r},{limit!r},{gap!r}")
     if gap > _BOTH_METHODS_TOL * (1.0 + abs(closed)):
         print(f"error: closed and limit values disagree by {gap:.3e}", file=sys.stderr)
@@ -204,8 +196,8 @@ def _cmd_integrate(args) -> int:
     result = mfrac_integral(
         as_fn(parse(args.f)), args.a, args.t, FracParams(args.alpha, args.beta)
     )
-    value = _finite("integral", result.value)
-    print(f"{value!r},{_finite('error estimate', result.abs_error_estimate)!r}")
+    value = require_finite("integral", result.value)
+    print(f"{value!r},{require_finite('error estimate', result.abs_error_estimate)!r}")
     return 0
 
 
@@ -221,7 +213,7 @@ def _cmd_ode(args) -> int:
     rows = []
     for t in ts:
         residual = verify_linear(sol, prob, (t,))
-        rows.append((t, sol(t), _finite("residual", residual)))
+        rows.append((t, sol(t), require_finite("residual", residual)))
     sys.stdout.write(CsvTable(("t", "v", "residual"), rows).to_csv())
     return 0
 
@@ -267,7 +259,11 @@ def _reals(name, value):
 
 
 def _column_label(alpha: float) -> str:
-    return f"u_alpha_{alpha:g}"
+    """The header ``u_alpha_`` plus alpha to six significant digits when
+    that text reads back as alpha, or its repr otherwise, so that distinct
+    alphas get distinct headers."""
+    text = f"{alpha:g}"
+    return f"u_alpha_{text if float(text) == alpha else repr(alpha)}"
 
 
 def _heat_setup(config) -> tuple[list[HeatProblem], float, list[float]]:
@@ -361,11 +357,11 @@ def _cmd_compare(args) -> int:
     tree = parse(args.f)
     f = as_fn(tree)
     reference = deriv_closed(as_dual_fn(tree), FracParams(args.alpha, 1.0), args.t)
-    rows = [("closed_beta1", _finite("closed-form derivative", reference), 0.0)]
+    rows = [("closed_beta1", require_finite("closed-form derivative", reference), 0.0)]
     for family in _compare_families():
         value = deriv_limit(f, family_params(family, args.alpha), args.t).value
-        deviation = abs(_finite(f"{family.label} limit derivative", value) - reference)
-        rows.append((family.label, value, _finite(f"{family.label} deviation", deviation)))
+        deviation = abs(require_finite(f"{family.label} limit derivative", value) - reference)
+        rows.append((family.label, value, require_finite(f"{family.label} deviation", deviation)))
     sys.stdout.write(
         CsvTable(("family", "value", "abs_deviation_from_beta1_closed"), rows).to_csv()
     )

@@ -1,5 +1,6 @@
-"""Exception types, the immutable record base and the input checks shared
-across the package: every real, count and order is checked here."""
+"""Exception types, the immutable record base and the checks shared across
+the package: every real, count and order it takes, and every computed
+result it hands out, is checked here."""
 
 import math
 
@@ -72,6 +73,14 @@ def require_order(alpha, closed: bool, n: int = 0):
     raise ValidationError(
         f"alpha must lie in ({n}, {n + 1}{']' if closed else ')'}{order}, got {alpha}"
     )
+
+
+def require_finite(name: str, value: float) -> float:
+    """Return the computed ``value`` unchanged when it is finite; otherwise
+    raise DomainError naming the quantity ``name``."""
+    if math.isfinite(value):
+        return value
+    raise DomainError(f"the {name} is not finite ({value!r})")
 
 
 class Record:

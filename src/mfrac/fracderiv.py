@@ -92,15 +92,12 @@ def _richardson(q, eps0):
     schedule eps0 * 2^-j, j = 0.._MAX_LEVELS, one level per pull.
 
     Assumes an error expansion in integer powers of eps with a linear leading
-    term.  A non-finite quotient raises ConvergenceError.
+    term.  A non-finite quotient makes its diagonal entry non-finite too,
+    and ``_settle`` pulls no further.
     """
     prev_row = None
     for j in range(_MAX_LEVELS + 1):
-        eps = eps0 * 0.5**j
-        q_val = q(eps)
-        if not math.isfinite(q_val):
-            raise ConvergenceError(f"difference quotient not finite at eps={eps}")
-        row = [q_val]
+        row = [q(eps0 * 0.5**j)]
         if prev_row is not None:
             fac = 1.0
             for m in range(1, j + 1):
@@ -205,7 +202,9 @@ def deriv_at_zero(f_dual: DualFn, p: FracParams) -> float:
     """One-sided derivative at 0, as the limit of deriv_closed(t) for t -> 0+.
 
     Samples t_k = 2^-k for k = 4..40 and settles iterated Aitken rounds of
-    that sequence within 1e-8; a diverging sequence raises ConvergenceError.
+    that sequence within 1e-8.  The sequence diverges, and ConvergenceError
+    is raised, when its last step has the sign of the step before it and
+    exceeds both that step and 1e-13 * (1 + |last value|).
     """
     require_order(p.alpha, closed=False)
     vals = []
@@ -214,7 +213,10 @@ def deriv_at_zero(f_dual: DualFn, p: FracParams) -> float:
         if not math.isfinite(v):
             raise ConvergenceError("derivative values are not finite approaching 0")
         vals.append(v)
-    if abs(vals[-1]) > 1e6 * (1.0 + abs(vals[0])):
+    # Aitken would settle geometric growth at its anti-limit 0.  A convergent
+    # sequence may turn round near its limit, so a growing step must not.
+    last, before = vals[-1] - vals[-2], vals[-2] - vals[-3]
+    if last * before > 0.0 and abs(last) > max(abs(before), 1e-13 * (1.0 + abs(vals[-1]))):
         raise ConvergenceError("derivative diverges approaching 0")
     return _settle(_aitken(vals), _AT_ZERO_SETTLE_REL, "the limit of the derivative at 0")[0]
 

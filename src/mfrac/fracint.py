@@ -192,8 +192,6 @@ def mfrac_integral(f: RealFn, a: float, t: float, p: FracParams) -> QuadratureRe
     if not 0.0 <= require_real("a", a) <= require_real("t", t):
         raise ValidationError(f"the bounds must satisfy 0 <= a <= t, got a={a}, t={t}")
     scale = gamma(p.beta + 1.0)
-    if t == a:
-        return QuadratureResult(0.0, 0.0, 1)
     if a == 0.0:
         exponent = 2.0 / p.alpha
         integrand = lambda u: exponent * u * f(u**exponent)

@@ -15,8 +15,8 @@ import math
 import operator
 import sys
 
-from .errors import DomainError, Record, ToleranceNotMetError, ValidationError
-from .errors import require_int, require_order, require_positive, require_real
+from .errors import Record, ToleranceNotMetError, ValidationError
+from .errors import require_finite, require_int, require_order, require_positive, require_real
 from .expr import Expr, as_fn, evaluate, unparse
 from .fracint import integrate_adaptive  # noqa: F401  (benchmarks/tracer.py wraps it)
 from .fracint import refine
@@ -252,8 +252,8 @@ def solve_heat(prob: HeatProblem, *, coefficients=None) -> HeatSolution:
 
     ``coefficients`` short-circuits the projection when the caller already
     holds them (they are alpha- and beta-independent); lengths must match.
-    A decay rate Gamma(beta+1) * (n*pi/L)^2 * k / alpha that overflows a
-    double raises DomainError.
+    A decay rate Gamma(beta+1) * (n*pi/L)^2 * k / alpha that is not finite
+    raises DomainError.
     """
     if coefficients is None:
         coefficients = fourier_coeffs(prob)
@@ -270,9 +270,7 @@ def solve_heat(prob: HeatProblem, *, coefficients=None) -> HeatSolution:
         except OverflowError:
             rate = math.inf
         # An infinite rate would turn exp(-rate * t^alpha) into nan at t = 0.
-        if not math.isfinite(rate):
-            raise DomainError(f"the decay rate of mode n={n} exceeds the largest double")
-        rates.append(rate)
+        rates.append(require_finite(f"decay rate of mode n={n}", rate))
     return HeatSolution(problem=prob, coefficients=coefficients, decay_rates=tuple(rates))
 
 

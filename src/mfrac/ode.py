@@ -18,7 +18,7 @@ import math
 from collections.abc import Callable
 
 from .errors import ConvergenceError, DomainError, Record, ValidationError
-from .errors import require_int, require_order, require_positive, require_real
+from .errors import require_finite, require_int, require_order, require_positive, require_real
 from .expr import DualNumber
 from .fracderiv import DualFn, FracParams, RealFn, deriv_closed
 from .special import gamma
@@ -89,7 +89,7 @@ def solve_linear(prob: LinearOdeProblem) -> OdeSolution:
             v = c * math.exp(coeff * t**alpha)
         except OverflowError:
             v = math.inf
-        return _finite(v, t)
+        return require_finite(f"solution at t={t!r}", v)
 
     def dual(t: float) -> DualNumber:
         v = value(t)
@@ -97,7 +97,7 @@ def solve_linear(prob: LinearOdeProblem) -> OdeSolution:
             der = v * coeff * alpha * t ** (alpha - 1.0)
         except OverflowError:  # t^(alpha - 1) beyond the largest double
             der = math.inf
-        return DualNumber(v, _finite(der, t, "solution's derivative"))
+        return DualNumber(v, require_finite(f"solution's derivative at t={t!r}", der))
 
     description = f"v(t) = {c!r} * exp({coeff!r} * t^{alpha!r})"
     return OdeSolution(value, dual, description)
@@ -113,12 +113,6 @@ def verify_linear(sol: OdeSolution, prob: LinearOdeProblem, ts) -> float:
         )
         worst = max(worst, residual)
     return worst
-
-
-def _finite(v: float, t: float, what: str = "solution") -> float:
-    if not math.isfinite(v):
-        raise DomainError(f"the {what} overflows a double at t={t!r}")
-    return v
 
 
 def solve_general(

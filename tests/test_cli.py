@@ -252,7 +252,8 @@ class TestNonFiniteEnds:
               "--t", "1e300", "--i", "3", "--method", "closed"],
              1, "closed-form derivative is not finite (nan)"),
             (["ode", "--mu-sq", "0.5", "--sign", "plus", "--c", "1e-300", "--alpha", "1e-300",
-              "--beta", "2", "--t", "1e-320"], 1, "solution's derivative overflows"),
+              "--beta", "2", "--t", "1e-320"],
+             1, "solution's derivative at t=1e-320 is not finite (inf)"),
             (["integrate", "--f", "sqrt(x)", "--a", "0.999999", "--t", "1e308", "--alpha", "0.5",
               "--beta", "3.7"], 1, "integral is not finite (inf)"),
         ],
@@ -538,6 +539,19 @@ class TestHeat:
         assert "Traceback" not in proc.stderr and "after 512 panels" in proc.stderr
         assert not out_path.exists()
         assert elapsed < 5.0
+
+    def test_close_alphas_get_distinct_columns(self, tmp_path, capsys):
+        # Six significant digits print both alphas as 0.5.
+        out_path = tmp_path / "o.csv"
+        flags = ["heat", "--L", "1", "--k", "0.01", "--beta", "1", "--f", "x*(1-x)", "--t", "1",
+                 "--n-terms", "3", "--x-points", "3", "--output", str(out_path)]
+        code, _, err = run_cli(capsys, *flags, "--alpha", "0.5", "--alpha", "0.5000001")
+        assert code == 0, err
+        header, _ = read_csv(out_path)
+        assert header == ["x", "u_alpha_0.5", "u_alpha_0.5000001"]
+        code, _, err = run_cli(capsys, *flags, "--alpha", "0.5", "--alpha", "0.50")
+        assert code == 1
+        assert "config key 'alpha' contains duplicate values" in err
 
     def test_non_finite_profile_named(self, tmp_path, capsys):
         out_path = tmp_path / "o.csv"

@@ -1,4 +1,5 @@
-"""The shared value-class base and real-number check in `mfrac.errors`.
+"""The shared value-class base and the real-number and finite-result checks
+in `mfrac.errors`.
 
 Every record compares, hashes, prints and refuses mutation by its fields.
 The expected reprs are the ones the package printed when these classes were
@@ -12,7 +13,7 @@ import pickle
 import pytest
 
 from mfrac.cli import CsvTable
-from mfrac.errors import Record, ValidationError, require_real
+from mfrac.errors import DomainError, Record, ValidationError, require_finite, require_real
 from mfrac.expr import (
     Add,
     Call,
@@ -194,6 +195,17 @@ class TestRecordContract:
         with pytest.raises(TypeError, match="__slots__"):
             class Loose(Record):
                 pass
+
+
+class TestRequireFinite:
+    @pytest.mark.parametrize("value", [-0.0, 5e-324, 1.7976931348623157e308])
+    def test_finite_values_pass_unchanged(self, value):
+        assert require_finite("v", value) is value
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_name_the_quantity(self, value):
+        with pytest.raises(DomainError, match=rf"^the computed v is not finite \({value!r}\)$"):
+            require_finite("computed v", value)
 
 
 class TestRequireReal:

@@ -1,6 +1,6 @@
 """One rule for every input: each public entry that takes a real or a count
 rejects what is not one with ValidationError, and only `errors.py` spells
-out the bool exclusion."""
+out the bool exclusion and the finite-result check."""
 
 import math
 import re
@@ -142,3 +142,15 @@ def test_only_errors_module_tests_for_bool():
         if re.search(r"isinstance\([^)]*\bbool\b", line)
     ]
     assert offenders == [], "check reals and counts with the mfrac.errors helpers"
+
+
+def test_only_errors_module_judges_computed_results():
+    package = Path(mfrac.__file__).parent
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "errors.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if "is not finite (" in line
+    ]
+    assert offenders == [], "check computed results with mfrac.errors.require_finite"
