@@ -53,15 +53,21 @@ class CsvTable(Record):
         return f"{value:.17g}"
 
     def to_csv(self) -> str:
-        number = "{:.17g}".format
+        """The header and rows as CSV text, one ``%`` format call per row.
+
+        A row that the all-number format rejects (a str cell such as a
+        compare label, or a row that is not a tuple) is formatted cell by
+        cell into the same bytes.
+        """
+        number = ",".join(["%.17g"] * len(self.header))
         lines = [",".join(self.header)]
         for row in self.rows:
             if len(row) != len(self.header):
                 raise ValidationError("table rows must match the header width")
             try:
-                lines.append(",".join(map(number, row)))
-            except ValueError:  # a str cell, such as a compare label
-                lines.append(",".join(self._cell(v) for v in row))
+                lines.append(number % row)
+            except TypeError:
+                lines.append(",".join([self._cell(v) for v in row]))
         return "\n".join(lines) + "\n"
 
     def write(self, path: str):

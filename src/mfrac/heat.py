@@ -20,7 +20,7 @@ from .errors import require_finite, require_int, require_order, require_positive
 from .expr import Expr, as_fn, evaluate, unparse
 from .fracint import integrate_adaptive  # noqa: F401  (benchmarks/tracer.py wraps it)
 from .fracint import refine
-from .special import gamma
+from .special import _TAIL_REL, gamma
 
 __all__ = [
     "HeatProblem",
@@ -212,15 +212,35 @@ class HeatSolution(Record):
     __call__ = evaluate
 
 
+def _kept_modes(coeffs, decay) -> int:
+    """The smallest K >= 1 with sum_{n>K} |c_n * e_n| <= 2^-55 * sum_n |c_n * e_n|,
+    or all N modes when that total overflows and so bounds nothing.  K >= 1
+    keeps every sum a float."""
+    weights = [abs(c * e) for c, e in zip(coeffs, decay)]
+    total = sum(weights)
+    kept = len(weights)
+    if not math.isfinite(total):
+        return kept
+    bound = _TAIL_REL * total
+    tail = 0.0
+    while kept > 1 and tail + weights[kept - 1] <= bound:
+        tail += weights[kept - 1]
+        kept -= 1
+    return kept
+
+
 def series_grid(solutions, xs, t: float):
     """Yield, for each x in ``xs``, the tuple of the solutions' values at (x, t).
 
     The solutions must share L and the coefficients, as the alpha columns of
-    one table do.  The time factors exp(-rate_n * t^alpha) are computed once
-    per solution and the terms c_n * sin(n*pi*x/L) once per x, so a grid of X
-    points and A columns costs N*X sines and N*A exponentials.  Each value is
-    exactly 0 on the boundary.  Rows are produced lazily, so a point outside
-    [0, L] raises when its row is reached.
+    one table do.  The time factors e_n = exp(-rate_n * t^alpha) are computed
+    once per solution, and each column sums only its modes 1..K of
+    ``_kept_modes``: the weights |c_n * e_n| it drops are at most 2^-55, a
+    quarter ulp, of their total, below the rounding of the sum itself.  The
+    terms c_n * sin(n*pi*x/L) are computed once per x for n up to the largest
+    K, so a grid of X points and A columns costs K*X sines and N*A
+    exponentials.  Each value is exactly 0 on the boundary.  Rows are
+    produced lazily, so a point outside [0, L] raises when its row is reached.
     """
     solutions = tuple(solutions)
     first = solutions[0]
@@ -233,9 +253,11 @@ def series_grid(solutions, xs, t: float):
     decays = []
     for sol in solutions:
         t_pow = t**sol.problem.alpha
-        decays.append([math.exp(-rate * t_pow) for rate in sol.decay_rates])
+        decay = [math.exp(-rate * t_pow) for rate in sol.decay_rates]
+        decays.append(decay[:_kept_modes(coeffs, decay)])
+    kept = max(map(len, decays))
     freq = math.pi / length
-    freqs = [n * freq for n in range(1, len(coeffs) + 1)]
+    freqs = [n * freq for n in range(1, kept + 1)]
     edge = (0.0,) * len(solutions)
     for x in xs:
         if not 0.0 <= require_real("x", x) <= length:

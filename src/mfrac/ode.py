@@ -75,10 +75,12 @@ def solve_linear(prob: LinearOdeProblem) -> OdeSolution:
 
     A plus-signed term yields decay, a minus-signed term growth.
     """
-    scale = gamma(prob.p.beta + 1.0)
-    coeff = -scale * prob.mu_sq / prob.p.alpha
+    # d/dt exp(coeff * t^alpha) = slope * t^(alpha-1) * exp(...): the slope
+    # carries no 1/alpha, so it stays finite where coeff overflows.
+    slope = -gamma(prob.p.beta + 1.0) * prob.mu_sq
     if prob.sign is TermSign.MINUS:
-        coeff = -coeff
+        slope = -slope
+    coeff = slope / prob.p.alpha
     alpha = prob.p.alpha
     c = prob.c
 
@@ -94,7 +96,7 @@ def solve_linear(prob: LinearOdeProblem) -> OdeSolution:
     def dual(t: float) -> DualNumber:
         v = value(t)
         try:
-            der = v * coeff * alpha * t ** (alpha - 1.0)
+            der = v * slope * t ** (alpha - 1.0)
         except OverflowError:  # t^(alpha - 1) beyond the largest double
             der = math.inf
         return DualNumber(v, require_finite(f"solution's derivative at t={t!r}", der))

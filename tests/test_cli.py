@@ -38,7 +38,10 @@ class TestCsvTable:
         values += [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300) for _ in range(199)]
         numbers = CsvTable(("a", "b", "c", "d"), [tuple(values[i:i + 4]) for i in range(0, 208, 4)])
         mixed = CsvTable(("a", "b", "c"), [("label", 0.1, -3), (0.5, "mid", 2.0), ("a", "b", "c")])
-        for table in (numbers, mixed):
+        lists = CsvTable(("a", "b"), [[0.1, -2.5e-300], [1, "label"], [math.nan, True]])
+        single = CsvTable(("a",), [(v,) for v in values[:20]] + [("label",), [0.25]])
+        flags = CsvTable(("a", "b", "c"), [(True, False, 0.5), (False, -0.0, True)])
+        for table in (numbers, mixed, lists, single, flags):
             plain = [",".join(table.header)]
             plain += [",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row)
                       for row in table.rows]
@@ -192,8 +195,9 @@ class TestOverflow:
         assert not out_path.exists()
 
     # mu^2 = 1e300 overflows exp for the growing solution; with alpha = 1e-10
-    # the exponent coefficient itself is infinite, whatever the sign.
-    @pytest.mark.parametrize("sign,alpha", [("minus", "0.5"), ("minus", "1e-10"), ("plus", "1e-10")])
+    # the exponent coefficient itself is infinite.  The decaying solution
+    # underflows to 0 instead (TestOde).
+    @pytest.mark.parametrize("sign,alpha", [("minus", "0.5"), ("minus", "1e-10")])
     def test_ode_overflow_exits_one(self, sign, alpha):
         proc = run_module("ode", "--mu-sq", "1e300", "--sign", sign, "--c", "1",
                           "--alpha", alpha, "--beta", "1", "--t", "1")
@@ -441,6 +445,24 @@ class TestOde:
             "--alpha", "0.5", "--beta", "1",
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags,row",
+        [
+            (["--mu-sq", "0.5", "--c", "-1", "--alpha", "1e-320", "--beta", "0.25",
+              "--t", "0.25"], "0.25,-0,0"),
+            (["--mu-sq", "1e300", "--c", "1", "--alpha", "1e-10", "--beta", "1",
+              "--t", "1"], "1,0,0"),
+        ],
+        ids=["tiny-alpha", "huge-mu-sq"],
+    )
+    def test_underflowing_solution_has_zero_derivative(self, capsys, flags, row):
+        # The exponent coefficient -Gamma(beta+1) * mu^2 / alpha overflows to
+        # -inf and v underflows to 0; the derivative's slope carries no
+        # 1/alpha, so the derivative is 0, not nan.
+        code, out, err = run_cli(capsys, "ode", "--sign", "plus", *flags)
+        assert (code, err) == (0, "")
+        assert out == f"t,v,residual\n{row}\n"
 
 
 class TestHeat:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -94,6 +95,20 @@ def counting_samples(monkeypatch):
 
     monkeypatch.setattr(heat, "as_fn", counting)
     return xs
+
+
+def counting_sines(monkeypatch):
+    """A list that grows by one argument for each sine the package computes."""
+    args = []
+    sin = math.sin
+    monkeypatch.setattr(math, "sin", lambda v: args.append(v) or sin(v))
+    return args
+
+
+def smallest_kept(weights):
+    """The smallest K >= 1 whose weights past K sum to at most 2^-55 of all."""
+    total = sum(weights)
+    return next(k for k in range(1, len(weights) + 1) if sum(weights[k:]) <= 2.0**-55 * total)
 
 
 def power_sine(s, w):
@@ -331,6 +346,32 @@ def plain_series(sol, x, t):
     return total
 
 
+def uncut_series(sol, x, t):
+    """The series over all N modes, in series_grid's order of operations."""
+    freq = math.pi / sol.problem.L
+    t_pow = t**sol.problem.alpha
+    return sum([c * math.sin(n * freq * x) * math.exp(-rate * t_pow)
+                for n, (c, rate) in enumerate(zip(sol.coefficients, sol.decay_rates), start=1)])
+
+
+def tail_weights(sol, t):
+    """|c_n * e_n| for each mode, the weights the tail cut compares."""
+    t_pow = t**sol.problem.alpha
+    return [abs(c * math.exp(-rate * t_pow)) for c, rate in zip(sol.coefficients, sol.decay_rates)]
+
+
+def random_columns(rng, n_terms, coeffs):
+    """Four columns of one table on a random L: random alphas plus 1, sharing ``coeffs``."""
+    length = rng.uniform(0.5, 3.0)
+    profile = parse(f"x*({length!r}-x)")
+    alphas = [rng.uniform(0.1, 1.0) for _ in range(3)] + [1.0]
+    return [
+        solve_heat(HeatProblem(L=length, k=1e-3, alpha=a, beta=rng.choice([0.5, 1.0, 2.0]),
+                               initial_profile=profile, n_terms=n_terms), coefficients=coeffs)
+        for a in alphas
+    ]
+
+
 class TestSeriesGrid:
     def test_random_grids_match_pointwise_and_plain_loop(self):
         rng = random.Random(83)
@@ -375,6 +416,65 @@ class TestSeriesGrid:
         other = solve_heat(paper_problem(alpha=0.9, n_terms=3), coefficients=(1.0, 0.5, 0.0))
         with pytest.raises(ValidationError):
             list(series_grid([first, other], [0.5], 1.0))
+
+    def test_nothing_is_cut_at_time_zero(self, monkeypatch):
+        # Every time factor is 1, so no mode of a coefficient list without a
+        # negligible tail is below the cut: the values are the uncut sums.
+        rng = random.Random(41)
+        sines = counting_sines(monkeypatch)
+        for _ in range(10):
+            n_terms = rng.randint(1, 80)
+            coeffs = [rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 5.0) for _ in range(n_terms)]
+            sols = random_columns(rng, n_terms, coeffs)
+            xs = [rng.uniform(0.0, sols[0].problem.L) for _ in range(10)]
+            sines.clear()
+            rows = list(series_grid(sols, xs, 0.0))
+            assert len(sines) == n_terms * len(xs)
+            for x, row in zip(xs, rows):
+                assert row == tuple(uncut_series(sol, x, 0.0) for sol in sols)
+
+    def test_damped_columns_are_within_the_tail_bound(self, monkeypatch):
+        # The dropped weights are at most 2^-55 of their total; what remains
+        # is the rounding of the two sums, at most N*eps of that total.
+        rng = random.Random(29)
+        sines = counting_sines(monkeypatch)
+        cut = 0
+        for _ in range(20):
+            n_terms = rng.randint(40, 120)
+            coeffs = [rng.uniform(-1.0, 1.0) for _ in range(n_terms)]
+            sols = random_columns(rng, n_terms, coeffs)
+            xs = [rng.uniform(0.0, sols[0].problem.L) for _ in range(20)]
+            t = rng.uniform(0.05, 5.0)
+            sines.clear()
+            rows = list(series_grid(sols, xs, t))
+            kept = max(smallest_kept(tail_weights(sol, t)) for sol in sols)
+            assert len(sines) == kept * len(xs)
+            cut += n_terms - kept
+            for sol, column in zip(sols, zip(*rows)):
+                total = sum(tail_weights(sol, t))
+                bound = (2.0**-55 + n_terms * sys.float_info.epsilon) * total
+                for x, value in zip(xs, column):
+                    assert abs(value - plain_series(sol, x, t)) <= bound
+        assert cut > 0
+
+    def test_overflowing_total_keeps_every_mode(self):
+        # sum |c_n * e_n| overflows, so no share of it bounds the dropped modes.
+        coeffs = (9e307, -9e307, 9e307, -4e307, 1e307)
+        sols = [solve_heat(paper_problem(alpha=a, n_terms=5), coefficients=coeffs)
+                for a in (0.5, 1.0)]
+        xs = [0.05, 0.1, 0.3, 0.5, 0.6]
+        for t in (0.0, 1e-3):
+            for x, row in zip(xs, series_grid(sols, xs, t)):
+                assert row == tuple(uncut_series(sol, x, t) for sol in sols)
+                assert all(math.isfinite(v) for v in row)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 1e6])
+    def test_zero_coefficients_give_float_zero(self, t):
+        sols = [solve_heat(paper_problem(alpha=a, n_terms=4), coefficients=(0.0, -0.0, 0.0, 0.0))
+                for a in (0.3, 1.0)]
+        for row in series_grid(sols, [0.0, 0.25, 0.5, 0.9, 1.0], t):
+            assert row == (0.0, 0.0)
+            assert all(type(v) is float and math.copysign(1.0, v) == 1.0 for v in row)
 
 
 class TestResidual:
