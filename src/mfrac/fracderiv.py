@@ -16,7 +16,7 @@ from collections.abc import Callable
 from .errors import ConvergenceError, Record, ValidationError
 from .errors import require_int, require_order, require_positive, require_real
 from .expr import DualNumber
-from .special import INFINITY, MLParams, TruncationIndex, gamma, ml_kernel
+from .special import INFINITY, MLParams, TruncationIndex, gamma, ml_kernel, time_change
 from .special import ml_truncated  # noqa: F401  (public name; benchmarks/tracer.py wraps it)
 
 __all__ = [
@@ -331,27 +331,17 @@ def rolle_witness(f_dual: DualFn, a: float, b: float, p: FracParams) -> float:
 
 def mvt_witness(f_dual: DualFn, a: float, b: float, p: FracParams) -> float:
     """A point c in (a, b) where the closed-form derivative of f equals
-    (f(b) - f(a)) / ((b^alpha - a^alpha)/alpha) / Gamma(beta+1).
+    (f(b) - f(a)) / (s(b) - s(a)) / Gamma(beta+1), with s = t^alpha/alpha.
 
-    The 1/Gamma(beta+1) factor is forced by the closed form: the auxiliary
-    function h(t) = f(t) - R * t^alpha/alpha has D h(c) = 0 exactly when
-    D f(c) = R / Gamma(beta+1).
+    The 1/Gamma(beta+1) factor is forced by the closed form: it is
+    d/ds / Gamma(beta+1), so the auxiliary function h(t) = f(t) - R * s(t)
+    has D h = D f - R / Gamma(beta+1), which is 0 at c.
     """
     _check_interval(a, b)
     require_order(p.alpha, closed=True)
-    fa = f_dual(a).val
-    fb = f_dual(b).val
-    spread = (b**p.alpha - a**p.alpha) / p.alpha
-    ratio = (fb - fa) / spread
-
-    def h_dual(s: float) -> DualNumber:
-        fs = f_dual(s)
-        return DualNumber(
-            fs.val - ratio * s**p.alpha / p.alpha,
-            fs.der - ratio * s ** (p.alpha - 1.0),
-        )
-
-    return _scan_root(lambda s: deriv_closed(h_dual, p, s), a, b)
+    spread = time_change(b, p.alpha) - time_change(a, p.alpha)
+    target = (f_dual(b).val - f_dual(a).val) / spread / gamma(p.beta + 1.0)
+    return _scan_root(lambda t: deriv_closed(f_dual, p, t) - target, a, b)
 
 
 def _check_interval(a: float, b: float):

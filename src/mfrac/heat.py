@@ -299,10 +299,11 @@ def solve_heat(prob: HeatProblem, *, coefficients=None) -> HeatSolution:
 def heat_residual(sol: HeatSolution, x: float, t: float) -> float:
     """|D_t^alpha u - k u_xx| at an interior point, formed term by term.
 
-    The time factor of each term differentiates analytically: applying the
-    closed-form operator to exp(-Gamma(beta+1) B t^alpha / alpha) leaves
-    -B times the term, which is exactly what the spatial side produces, so
-    only rounding noise survives.
+    The time factor of each term differentiates analytically: in the clock
+    s = t^alpha/alpha the term is exp(-rate * alpha * s), and the closed-form
+    operator, d/ds / Gamma(beta+1), leaves -rate * alpha / Gamma(beta+1)
+    times it.  That is -k (n pi/L)^2, what the spatial side produces, so only
+    rounding noise survives.
     """
     prob = sol.problem
     if not 0.0 < require_real("x", x) < prob.L:
@@ -316,11 +317,7 @@ def heat_residual(sol: HeatSolution, x: float, t: float) -> float:
     for n, (c, rate) in enumerate(zip(sol.coefficients, sol.decay_rates), start=1):
         term = c * math.sin(n * freq * x) * math.exp(-rate * t_pow)
         spatial_sq = (n * freq) ** 2
-        # Chain through the exponent: d/dt exp(-rate t^alpha) carries
-        # rate * alpha * t^(alpha-1); the operator multiplies by
-        # t^(1-alpha)/Gamma(beta+1).
-        time_factor = t ** (1.0 - prob.alpha) * (-rate * prob.alpha * t ** (prob.alpha - 1.0)) / scale
-        lhs += time_factor * term
+        lhs += -rate * prob.alpha / scale * term
         rhs += prob.k * (-spatial_sq) * term
     return abs(lhs - rhs)
 

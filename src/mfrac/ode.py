@@ -1,14 +1,12 @@
 """First-order ODE solvers for the kernel derivative.
 
-The linear constant-coefficient equation D v +/- mu^2 v = 0 has the closed
-form v(t) = c * exp(-/+ Gamma(beta+1) * mu^2 * t^alpha / alpha); note the
-exponent sign is opposite the sign of the mu^2 term, which is what
-substituting the closed-form derivative forces (a plus-signed term decays).
-
-A general D v = g(t, v) reduces through the closed form to the classical
-equation v' = Gamma(beta+1) * t^(alpha-1) * g(t, v), integrated here with the
-classical fourth-order Runge-Kutta scheme and cubic Hermite dense output.
-The t^(alpha-1) factor is singular at 0, so integration must start at t0 > 0.
+The closed-form derivative is classical in the clock s = t^alpha/alpha
+(``special.time_change``): D v = (dv/ds) / Gamma(beta+1).  So D v +/- mu^2 v = 0
+has the closed form v = c * exp(-/+ Gamma(beta+1) * mu^2 * s) (a plus-signed
+term decays), and a general D v = g(t, v) is dv/ds = Gamma(beta+1) * g(t, v)
+with t = (alpha*s)^(1/alpha), which has no singular factor.  It is integrated
+on a grid uniform in s by classical fourth-order Runge-Kutta with cubic
+Hermite dense output, from any start 0 <= t0 < t1.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from .errors import ConvergenceError, DomainError, Record, ValidationError
 from .errors import require_finite, require_int, require_order, require_positive, require_real
 from .expr import DualNumber
 from .fracderiv import DualFn, FracParams, RealFn, deriv_closed
-from .special import gamma
+from .special import gamma, time_change
 
 __all__ = [
     "LinearOdeProblem",
@@ -71,16 +69,13 @@ class OdeSolution(Record):
 
 
 def solve_linear(prob: LinearOdeProblem) -> OdeSolution:
-    """Closed-form solution of D v +/- mu^2 v = 0.
+    """Closed-form solution of D v +/- mu^2 v = 0: v = c * exp(slope * s).
 
     A plus-signed term yields decay, a minus-signed term growth.
     """
-    # d/dt exp(coeff * t^alpha) = slope * t^(alpha-1) * exp(...): the slope
-    # carries no 1/alpha, so it stays finite where coeff overflows.
     slope = -gamma(prob.p.beta + 1.0) * prob.mu_sq
     if prob.sign is TermSign.MINUS:
         slope = -slope
-    coeff = slope / prob.p.alpha
     alpha = prob.p.alpha
     c = prob.c
 
@@ -88,21 +83,27 @@ def solve_linear(prob: LinearOdeProblem) -> OdeSolution:
         if require_real("t", t) <= 0.0:
             raise DomainError(f"the solution is defined for t > 0, got {t!r}")
         try:
-            v = c * math.exp(coeff * t**alpha)
+            v = c * math.exp(slope * time_change(t, alpha))
         except OverflowError:
             v = math.inf
         return require_finite(f"solution at t={t!r}", v)
 
     def dual(t: float) -> DualNumber:
         v = value(t)
-        try:
-            der = v * slope * t ** (alpha - 1.0)
-        except OverflowError:  # t^(alpha - 1) beyond the largest double
-            der = math.inf
-        return DualNumber(v, require_finite(f"solution's derivative at t={t!r}", der))
+        # dv/ds = slope * v is exactly 0 with v, also where the slope overflows.
+        return _in_t(t, alpha, v, slope * v if v else 0.0)
 
-    description = f"v(t) = {c!r} * exp({coeff!r} * t^{alpha!r})"
+    description = f"v(t) = {c!r} * exp({slope!r} * s), s = t^{alpha!r} / {alpha!r}"
     return OdeSolution(value, dual, description)
+
+
+def _in_t(t: float, alpha: float, v: float, dv_ds: float) -> DualNumber:
+    """(v, dv/dt) from dv/ds, by the chain rule dv/dt = dv/ds * t^(alpha-1)."""
+    try:
+        dv_dt = dv_ds * t ** (alpha - 1.0)
+    except (OverflowError, ZeroDivisionError):  # t^(alpha-1) beyond the largest double, or 1/0
+        dv_dt = math.inf
+    return DualNumber(v, require_finite(f"solution's derivative at t={t!r}", dv_dt))
 
 
 def verify_linear(sol: OdeSolution, prob: LinearOdeProblem, ts) -> float:
@@ -125,60 +126,65 @@ def solve_general(
     p: FracParams,
     steps: int,
 ) -> OdeSolution:
-    """Integrate D v = g(t, v) from (t0, v0) to t1 on a uniform grid.
+    """Integrate D v = g(t, v) from (t0, v0) to t1, where 0 <= t0 < t1.
 
-    Classical RK4 on the transformed equation, returning a piecewise-cubic
-    Hermite evaluator valid on [t0, t1].
+    Classical RK4 on dv/ds = Gamma(beta+1) * g(t(s), v) over a grid uniform
+    in s = t^alpha/alpha, returning a piecewise-cubic Hermite evaluator valid
+    on [t0, t1].
     """
     require_int("steps", steps, 4)
-    require_order(p.alpha, closed=True)
+    alpha = require_order(p.alpha, closed=True)
     require_real("v0", v0)
-    if not 0.0 < require_real("t0", t0) < require_real("t1", t1):
-        raise ValidationError(f"need 0 < t0 < t1, got t0={t0}, t1={t1}")
-
+    if not 0.0 <= require_real("t0", t0) < require_real("t1", t1):
+        raise ValidationError(f"need 0 <= t0 < t1, got t0={t0}, t1={t1}")
+    s0 = time_change(t0, alpha)
+    h = (time_change(t1, alpha) - s0) / steps
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"s = t^alpha/alpha cannot resolve [{t0}, {t1}] at alpha={alpha!r}")
     scale = gamma(p.beta + 1.0)
-    exponent = p.alpha - 1.0
 
-    def rhs(t: float, v: float) -> float:
-        return scale * t**exponent * g(t, v)
+    def t_of(s: float) -> float:
+        return (alpha * s) ** (1.0 / alpha)
 
-    h = (t1 - t0) / steps
-    values = [float(v0)]
-    slopes = [rhs(t0, v0)]
+    def rhs(s: float, v: float) -> float:
+        return scale * g(t_of(s), v)
+
     v = float(v0)
+    values = [v]
+    slopes = [rhs(s0, v)]
     for i in range(steps):
-        t = t0 + i * h
-        k1 = rhs(t, v)
-        k2 = rhs(t + 0.5 * h, v + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, v + 0.5 * h * k2)
-        k4 = rhs(t + h, v + h * k3)
+        s = s0 + i * h
+        k1 = slopes[i]
+        k2 = rhs(s + 0.5 * h, v + 0.5 * h * k1)
+        k3 = rhs(s + 0.5 * h, v + 0.5 * h * k2)
+        k4 = rhs(s + h, v + h * k3)
         v = v + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if not math.isfinite(v) or abs(v) > 1e150:
-            raise ConvergenceError(f"integration diverged near t={t + h}")
+            raise ConvergenceError(f"integration diverged near t={t_of(s + h)}")
         values.append(v)
-        slopes.append(rhs(t + h, v))
+        slopes.append(rhs(s0 + (i + 1) * h, v))
 
     def hermite(t: float) -> tuple[float, float]:
+        """(v, dv/ds) at t."""
         if not t0 <= require_real("t", t) <= t1:
             raise DomainError(f"t={t!r} outside the integrated range [{t0}, {t1}]")
-        i = min(int((t - t0) / h), steps - 1)
-        s = (t - (t0 + i * h)) / h
-        h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-        h10 = s * (1.0 - s) ** 2
-        h01 = s * s * (3.0 - 2.0 * s)
-        h11 = s * s * (s - 1.0)
-        value = h00 * values[i] + h10 * h * slopes[i] + h01 * values[i + 1] + h11 * h * slopes[i + 1]
-        d00 = 6.0 * s * (s - 1.0)
-        d10 = 3.0 * s * s - 4.0 * s + 1.0
-        d01 = -d00
-        d11 = 3.0 * s * s - 2.0 * s
-        slope = (
-            d00 * values[i] + d10 * h * slopes[i] + d01 * values[i + 1] + d11 * h * slopes[i + 1]
-        ) / h
-        return value, slope
+        s = time_change(t, alpha)
+        i = min(int((s - s0) / h), steps - 1)
+        u = (s - (s0 + i * h)) / h
+        rise = values[i + 1] - values[i]
+        # The value as v_i plus increments, so that a constant solution stays exact.
+        value = values[i] + u * u * (3.0 - 2.0 * u) * rise + h * (
+            u * (1.0 - u) ** 2 * slopes[i] + u * u * (u - 1.0) * slopes[i + 1]
+        )
+        dv_ds = (
+            6.0 * u * (1.0 - u) * rise / h
+            + (3.0 * u * u - 4.0 * u + 1.0) * slopes[i]
+            + (3.0 * u * u - 2.0 * u) * slopes[i + 1]
+        )
+        return value, dv_ds
 
     return OdeSolution(
         evaluator=lambda t: hermite(t)[0],
-        dual_evaluator=lambda t: DualNumber(*hermite(t)),
+        dual_evaluator=lambda t: _in_t(t, alpha, *hermite(t)),
         description=None,
     )

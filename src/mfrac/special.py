@@ -23,6 +23,7 @@ __all__ = [
     "ln_gamma",
     "ml_kernel",
     "ml_truncated",
+    "time_change",
 ]
 
 # A term at most this fraction of |total| is below a quarter ulp of the total,
@@ -62,6 +63,12 @@ def gamma(x: float) -> float:
         return math.gamma(x)
     except OverflowError:
         raise DomainError(f"Gamma({x}) exceeds the largest double") from None
+
+
+def time_change(t: float, alpha: float) -> float:
+    """s = t^alpha / alpha, the clock in which the kernel derivative is
+    classical: t^(1-alpha) * f'(t) = df/ds."""
+    return t**alpha / alpha
 
 
 class TruncationIndex(Record):

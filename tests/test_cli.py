@@ -453,13 +453,16 @@ class TestOde:
               "--t", "0.25"], "0.25,-0,0"),
             (["--mu-sq", "1e300", "--c", "1", "--alpha", "1e-10", "--beta", "1",
               "--t", "1"], "1,0,0"),
+            (["--mu-sq", "1e308", "--c", "1", "--alpha", "1e-320", "--beta", "3.7",
+              "--t", "0.999999"], "0.99999899999999997,0,0"),
         ],
-        ids=["tiny-alpha", "huge-mu-sq"],
+        ids=["tiny-alpha", "huge-mu-sq", "overflowing-slope"],
     )
     def test_underflowing_solution_has_zero_derivative(self, capsys, flags, row):
-        # The exponent coefficient -Gamma(beta+1) * mu^2 / alpha overflows to
-        # -inf and v underflows to 0; the derivative's slope carries no
-        # 1/alpha, so the derivative is 0, not nan.
+        # The exponent -Gamma(beta+1) * mu^2 * t^alpha / alpha overflows to
+        # -inf and v underflows to 0.  dv/ds = slope * v is then 0, also where
+        # the slope -Gamma(beta+1) * mu^2 itself overflows, so the derivative
+        # is 0, not nan.
         code, out, err = run_cli(capsys, "ode", "--sign", "plus", *flags)
         assert (code, err) == (0, "")
         assert out == f"t,v,residual\n{row}\n"

@@ -142,4 +142,34 @@ class TestGeneral:
 
     def test_requires_positive_start(self):
         with pytest.raises(ValidationError):
-            solve_general(lambda t, v: 0.0, 0.0, 1.0, 2.0, FracParams(0.5, 1.0), 8)
+            solve_general(lambda t, v: 0.0, -1e-300, 1.0, 2.0, FracParams(0.5, 1.0), 8)
+        assert solve_general(lambda t, v: 0.0, 0.0, 1.0, 2.0, FracParams(0.5, 1.0), 8)(0.0) == 1.0
+
+    def test_unresolvable_clock_is_a_domain_error(self):
+        # At alpha = 1e-17, t^alpha rounds to 1 on all of [1, 2]: the grid in
+        # s = t^alpha/alpha would have zero width.
+        with pytest.raises(DomainError, match="cannot resolve"):
+            solve_general(lambda t, v: -v, 1.0, 1.0, 2.0, FracParams(1e-17, 1.0), 8)
+
+    @pytest.mark.parametrize("t0", [0.0, 1e-8, 1e-3])
+    def test_starts_at_or_near_zero(self, t0):
+        # D v = -v at alpha = 0.5, beta = 1 is dv/ds = -v with s = 2 sqrt(t):
+        # v = exp(-2 sqrt(t)).  In t the equation carries t^(-1/2), which a
+        # grid uniform in t cannot resolve near 0.
+        def exact(t):
+            return math.exp(-2.0 * math.sqrt(t))
+
+        sol = solve_general(lambda t, v: -v, t0, exact(t0), 2.0, FracParams(0.5, 1.0), 100)
+        assert abs(sol(2.0) - exact(2.0)) <= 1e-8
+        for i in range(1000):
+            t = t0 + (2.0 - t0) * i / 999
+            assert abs(sol(t) - exact(t)) <= 1e-8, t
+
+    def test_derivative_at_zero_is_a_domain_error(self):
+        # dv/dt = (dv/ds) * t^(alpha-1) is infinite at t = 0 for alpha < 1.
+        sol = solve_general(lambda t, v: -v, 0.0, 1.0, 2.0, FracParams(0.5, 1.0), 8)
+        with pytest.raises(DomainError, match="derivative at t=0.0 is not finite"):
+            sol.dual_evaluator(0.0)
+        assert math.isfinite(sol.dual_evaluator(1e-300).der)
+        classical = solve_general(lambda t, v: -v, 0.0, 1.0, 2.0, FracParams(1.0, 1.0), 64)
+        assert_close(classical.dual_evaluator(0.0).der, -1.0, 1e-8)
