@@ -17,13 +17,7 @@ import sys
 from .errors import ConvergenceError, DomainError, Record, ValidationError
 from .errors import require_finite, require_int, require_positive, require_real
 from .expr import as_dual_fn, as_fn, parse
-from .fracderiv import (
-    DerivFamily,
-    FracParams,
-    deriv_closed,
-    deriv_limit,
-    family_params,
-)
+from .fracderiv import DerivFamily, FracParams, deriv_closed, deriv_limit, family_params
 from .fracint import mfrac_integral
 from .heat import HeatProblem, fourier_coeffs, series_grid, solve_heat
 from .ode import LinearOdeProblem, TermSign, solve_linear, verify_linear
@@ -208,18 +202,11 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_ode(args) -> int:
-    prob = LinearOdeProblem(
-        mu_sq=args.mu_sq,
-        sign=TermSign(args.sign),
-        c=args.c,
-        p=FracParams(args.alpha, args.beta),
-    )
+    p = FracParams(args.alpha, args.beta)
+    prob = LinearOdeProblem(args.mu_sq, TermSign(args.sign), args.c, p)
     sol = solve_linear(prob)
-    ts = args.ts if args.ts else [1.0]
-    rows = []
-    for t in ts:
-        residual = verify_linear(sol, prob, (t,))
-        rows.append((t, sol(t), require_finite("residual", residual)))
+    rows = [(t, sol(t), require_finite("residual", verify_linear(sol, prob, (t,))))
+            for t in args.ts or [1.0]]
     sys.stdout.write(CsvTable(("t", "v", "residual"), rows).to_csv())
     return 0
 
@@ -382,15 +369,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValidationError, DomainError) as exc:
+    except (ValidationError, DomainError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConvergenceError) else 3 if isinstance(exc, OSError) else 1
 
 
 def run():

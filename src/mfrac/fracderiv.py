@@ -339,7 +339,7 @@ def mvt_witness(f_dual: DualFn, a: float, b: float, p: FracParams) -> float:
     """
     _check_interval(a, b)
     require_order(p.alpha, closed=True)
-    spread = time_change(b, p.alpha) - time_change(a, p.alpha)
+    spread = time_change(a, b, p.alpha)
     target = (f_dual(b).val - f_dual(a).val) / spread / gamma(p.beta + 1.0)
     return _scan_root(lambda t: deriv_closed(f_dual, p, t) - target, a, b)
 

@@ -312,13 +312,11 @@ def heat_residual(sol: HeatSolution, x: float, t: float) -> float:
     scale = gamma(prob.beta + 1.0)
     freq = math.pi / prob.L
     t_pow = t**prob.alpha
-    lhs = 0.0
-    rhs = 0.0
+    lhs = rhs = 0.0
     for n, (c, rate) in enumerate(zip(sol.coefficients, sol.decay_rates), start=1):
         term = c * math.sin(n * freq * x) * math.exp(-rate * t_pow)
-        spatial_sq = (n * freq) ** 2
-        lhs += -rate * prob.alpha / scale * term
-        rhs += prob.k * (-spatial_sq) * term
+        lhs -= rate * prob.alpha / scale * term
+        rhs -= prob.k * (n * freq) ** 2 * term
     return abs(lhs - rhs)
 
 

@@ -3,10 +3,10 @@
 The closed-form derivative is classical in the clock s = t^alpha/alpha
 (``special.time_change``): D v = (dv/ds) / Gamma(beta+1).  So D v +/- mu^2 v = 0
 has the closed form v = c * exp(-/+ Gamma(beta+1) * mu^2 * s) (a plus-signed
-term decays), and a general D v = g(t, v) is dv/ds = Gamma(beta+1) * g(t, v)
-with t = (alpha*s)^(1/alpha), which has no singular factor.  It is integrated
-on a grid uniform in s by classical fourth-order Runge-Kutta with cubic
-Hermite dense output, from any start 0 <= t0 < t1.
+term decays), and a general D v = g(t, v) is dv/ds = Gamma(beta+1) * g(t, v),
+which has no singular factor.  It is integrated on a grid uniform in
+s(t) - s(t0) by classical fourth-order Runge-Kutta with cubic Hermite dense
+output, from any start 0 <= t0 < t1.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import ConvergenceError, DomainError, Record, ValidationError
 from .errors import require_finite, require_int, require_order, require_positive, require_real
 from .expr import DualNumber
 from .fracderiv import DualFn, FracParams, RealFn, deriv_closed
-from .special import gamma, time_change
+from .special import gamma, ln_gamma, ln_time_change, time_change, time_change_inverse
 
 __all__ = [
     "LinearOdeProblem",
@@ -69,32 +69,42 @@ class OdeSolution(Record):
 
 
 def solve_linear(prob: LinearOdeProblem) -> OdeSolution:
-    """Closed-form solution of D v +/- mu^2 v = 0: v = c * exp(slope * s).
+    """Closed-form solution of D v +/- mu^2 v = 0: v = c * exp(-/+ rate * s)
+    with rate = Gamma(beta+1) * mu^2.
 
-    A plus-signed term yields decay, a minus-signed term growth.
+    A plus-signed term yields decay, a minus-signed term growth.  rate * s and
+    rate * v are finite wherever representable, even where rate or s is not.
     """
-    slope = -gamma(prob.p.beta + 1.0) * prob.mu_sq
-    if prob.sign is TermSign.MINUS:
-        slope = -slope
-    alpha = prob.p.alpha
-    c = prob.c
+    sign = -1.0 if prob.sign is TermSign.PLUS else 1.0
+    rate = gamma(prob.p.beta + 1.0) * prob.mu_sq
+    ln_rate = ln_gamma(prob.p.beta + 1.0) + math.log(prob.mu_sq)
+    # rate = |rate_m| * 2^rate_e with |rate_m| <= 1, so v * rate_m cannot overflow.
+    rate_e = math.ceil(ln_rate / math.log(2.0))
+    rate_m = sign * math.exp(ln_rate - rate_e * math.log(2.0))
+    alpha, c = prob.p.alpha, prob.c
 
     def value(t: float) -> float:
         if require_real("t", t) <= 0.0:
             raise DomainError(f"the solution is defined for t > 0, got {t!r}")
+        mag = rate * time_change(0.0, t, alpha)
+        if not 0.0 < mag < math.inf:  # from logarithms; beyond e^709 v is 0 or inf anyway
+            mag = math.exp(min(ln_rate + ln_time_change(t, alpha), 709.0))
         try:
-            v = c * math.exp(slope * time_change(t, alpha))
+            v = c * math.exp(sign * mag)
         except OverflowError:
-            v = math.inf
+            v = c * math.inf if c else c  # c = 0 stays 0
         return require_finite(f"solution at t={t!r}", v)
 
     def dual(t: float) -> DualNumber:
         v = value(t)
-        # dv/ds = slope * v is exactly 0 with v, also where the slope overflows.
-        return _in_t(t, alpha, v, slope * v if v else 0.0)
+        try:  # dv/ds = sign * rate * v, which is exactly 0 with v
+            dv_ds = math.ldexp(v * rate_m, rate_e)
+        except OverflowError:
+            dv_ds = math.inf
+        return _in_t(t, alpha, v, dv_ds)
 
-    description = f"v(t) = {c!r} * exp({slope!r} * s), s = t^{alpha!r} / {alpha!r}"
-    return OdeSolution(value, dual, description)
+    shown = f"{'-' if sign < 0.0 else ''}Gamma({prob.p.beta + 1.0!r}) * {prob.mu_sq!r}"
+    return OdeSolution(value, dual, f"v(t) = {c!r} * exp({shown} * s), s = t^{alpha!r} / {alpha!r}")
 
 
 def _in_t(t: float, alpha: float, v: float, dv_ds: float) -> DualNumber:
@@ -109,68 +119,59 @@ def _in_t(t: float, alpha: float, v: float, dv_ds: float) -> DualNumber:
 def verify_linear(sol: OdeSolution, prob: LinearOdeProblem, ts) -> float:
     """Largest residual |D v +/- mu^2 v| over the sample times."""
     sgn = 1.0 if prob.sign is TermSign.PLUS else -1.0
-    worst = 0.0
-    for t in ts:
-        residual = abs(
-            deriv_closed(sol.dual_evaluator, prob.p, t) + sgn * prob.mu_sq * sol.evaluator(t)
-        )
-        worst = max(worst, residual)
-    return worst
+    return max(
+        (abs(deriv_closed(sol.dual_evaluator, prob.p, t) + sgn * prob.mu_sq * sol.evaluator(t))
+         for t in ts),
+        default=0.0,
+    )
 
 
 def solve_general(
-    g: Callable[[float, float], float],
-    t0: float,
-    v0: float,
-    t1: float,
-    p: FracParams,
-    steps: int,
+    g: Callable[[float, float], float], t0: float, v0: float, t1: float, p: FracParams, steps: int
 ) -> OdeSolution:
     """Integrate D v = g(t, v) from (t0, v0) to t1, where 0 <= t0 < t1.
 
     Classical RK4 on dv/ds = Gamma(beta+1) * g(t(s), v) over a grid uniform
-    in s = t^alpha/alpha, returning a piecewise-cubic Hermite evaluator valid
-    on [t0, t1].
+    in s(t) - s(t0), s = t^alpha/alpha, returning a piecewise-cubic Hermite
+    evaluator valid on [t0, t1].
     """
     require_int("steps", steps, 4)
     alpha = require_order(p.alpha, closed=True)
     require_real("v0", v0)
     if not 0.0 <= require_real("t0", t0) < require_real("t1", t1):
         raise ValidationError(f"need 0 <= t0 < t1, got t0={t0}, t1={t1}")
-    s0 = time_change(t0, alpha)
-    h = (time_change(t1, alpha) - s0) / steps
+    # Offsets from s(t0), not s itself, so that the nodes stay exact as alpha -> 0.
+    h = time_change(t0, t1, alpha) / steps
     if not 0.0 < h < math.inf:
         raise DomainError(f"s = t^alpha/alpha cannot resolve [{t0}, {t1}] at alpha={alpha!r}")
     scale = gamma(p.beta + 1.0)
 
-    def t_of(s: float) -> float:
-        return (alpha * s) ** (1.0 / alpha)
-
-    def rhs(s: float, v: float) -> float:
-        return scale * g(t_of(s), v)
+    def rhs(sigma: float, v: float) -> float:
+        return scale * g(min(time_change_inverse(t0, sigma, alpha), t1), v)
 
     v = float(v0)
-    values = [v]
-    slopes = [rhs(s0, v)]
+    values, slopes = [v], [rhs(0.0, v)]
     for i in range(steps):
-        s = s0 + i * h
+        sigma = i * h
         k1 = slopes[i]
-        k2 = rhs(s + 0.5 * h, v + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h, v + 0.5 * h * k2)
-        k4 = rhs(s + h, v + h * k3)
+        k2 = rhs(sigma + 0.5 * h, v + 0.5 * h * k1)
+        k3 = rhs(sigma + 0.5 * h, v + 0.5 * h * k2)
+        k4 = rhs(sigma + h, v + h * k3)
         v = v + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if not math.isfinite(v) or abs(v) > 1e150:
-            raise ConvergenceError(f"integration diverged near t={t_of(s + h)}")
+            raise ConvergenceError(
+                f"integration diverged near t={time_change_inverse(t0, sigma + h, alpha)}"
+            )
         values.append(v)
-        slopes.append(rhs(s0 + (i + 1) * h, v))
+        slopes.append(rhs((i + 1) * h, v))
 
     def hermite(t: float) -> tuple[float, float]:
         """(v, dv/ds) at t."""
         if not t0 <= require_real("t", t) <= t1:
             raise DomainError(f"t={t!r} outside the integrated range [{t0}, {t1}]")
-        s = time_change(t, alpha)
-        i = min(int((s - s0) / h), steps - 1)
-        u = (s - (s0 + i * h)) / h
+        sigma = time_change(t0, t, alpha)
+        i = min(int(sigma / h), steps - 1)
+        u = (sigma - i * h) / h
         rise = values[i + 1] - values[i]
         # The value as v_i plus increments, so that a constant solution stays exact.
         value = values[i] + u * u * (3.0 - 2.0 * u) * rise + h * (
@@ -183,8 +184,4 @@ def solve_general(
         )
         return value, dv_ds
 
-    return OdeSolution(
-        evaluator=lambda t: hermite(t)[0],
-        dual_evaluator=lambda t: _in_t(t, alpha, *hermite(t)),
-        description=None,
-    )
+    return OdeSolution(lambda t: hermite(t)[0], lambda t: _in_t(t, alpha, *hermite(t)))

@@ -21,9 +21,11 @@ __all__ = [
     "TruncationIndex",
     "gamma",
     "ln_gamma",
+    "ln_time_change",
     "ml_kernel",
     "ml_truncated",
     "time_change",
+    "time_change_inverse",
 ]
 
 # A term at most this fraction of |total| is below a quarter ulp of the total,
@@ -65,10 +67,32 @@ def gamma(x: float) -> float:
         raise DomainError(f"Gamma({x}) exceeds the largest double") from None
 
 
-def time_change(t: float, alpha: float) -> float:
-    """s = t^alpha / alpha, the clock in which the kernel derivative is
-    classical: t^(1-alpha) * f'(t) = df/ds."""
-    return t**alpha / alpha
+def time_change(t0: float, t: float, alpha: float) -> float:
+    """s(t) - s(t0) for the clock s = t^alpha/alpha, in which t^(1-alpha) * f'(t) = df/ds;
+    inf beyond the largest double.  While x = alpha*ln(t/t0) <= 1 it is t0^alpha * ln(t/t0)
+    * expm1(x)/x, good to a few ulps however small alpha is; the plain difference is not."""
+    span = math.log(t / t0) if t0 else math.inf
+    x = alpha * span
+    if x > 1.0:
+        return (t**alpha - t0**alpha) / alpha
+    return t0**alpha * span * (math.expm1(x) / x if x else 1.0)
+
+
+def time_change_inverse(t0: float, sigma: float, alpha: float) -> float:
+    """The t with time_change(t0, t, alpha) = sigma; inf beyond the largest double."""
+    y = sigma / t0**alpha if t0 else math.inf
+    x = alpha * y
+    try:
+        if x > 1.0:
+            return (t0**alpha + alpha * sigma) ** (1.0 / alpha)
+        return t0 * math.exp(y * (math.log1p(x) / x if x else 1.0))
+    except OverflowError:
+        return math.inf
+
+
+def ln_time_change(t: float, alpha: float) -> float:
+    """ln s(t), finite for t > 0 also where s itself is not a normal double."""
+    return alpha * math.log(t) - math.log(alpha)
 
 
 class TruncationIndex(Record):

@@ -459,13 +459,41 @@ class TestOde:
         ids=["tiny-alpha", "huge-mu-sq", "overflowing-slope"],
     )
     def test_underflowing_solution_has_zero_derivative(self, capsys, flags, row):
-        # The exponent -Gamma(beta+1) * mu^2 * t^alpha / alpha overflows to
-        # -inf and v underflows to 0.  dv/ds = slope * v is then 0, also where
-        # the slope -Gamma(beta+1) * mu^2 itself overflows, so the derivative
-        # is 0, not nan.
+        # The exponent -Gamma(beta+1) * mu^2 * t^alpha / alpha is beyond the
+        # doubles and v underflows to 0.  The derivative is then 0, not nan,
+        # also where the rate Gamma(beta+1) * mu^2 itself overflows.
         code, out, err = run_cli(capsys, "ode", "--sign", "plus", *flags)
         assert (code, err) == (0, "")
         assert out == f"t,v,residual\n{row}\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--sign", "plus", "--mu-sq", "1e308", "--c", "1", "--alpha", "1", "--beta", "10",
+             "--t", "1e-312"],
+            ["--sign", "plus", "--mu-sq", "1e-320", "--c", "3.7", "--alpha", "1e-320",
+             "--beta", "1", "--t", "3.7"],
+            ["--sign", "minus", "--mu-sq", "1e-320", "--c", "3.7", "--alpha", "1e-320",
+             "--beta", "1", "--t", "3.7"],
+        ],
+        ids=["overflowing-rate", "overflowing-clock-plus", "overflowing-clock-minus"],
+    )
+    def test_moderate_exponent_from_extreme_factors(self, capsys, flags):
+        # Gamma(beta+1) * mu^2 (3.6e314) or s = t^alpha/alpha (1e320) alone
+        # exceeds the doubles, but their product, the exponent, is 362.88 or
+        # 1: v is far from 0 and infinity and must be printed right.
+        from mpmath import mp
+
+        mp.dps = 30
+        code, out, err = run_cli(capsys, "ode", *flags)
+        assert (code, err) == (0, "")
+        opts = dict(zip(flags[::2], flags[1::2]))
+        mu_sq, c, alpha, beta = (float(opts[k]) for k in ("--mu-sq", "--c", "--alpha", "--beta"))
+        t, v, residual = (float(cell) for cell in out.splitlines()[1].split(","))
+        sign = -1 if opts["--sign"] == "plus" else 1
+        want = c * mp.exp(sign * mp.gamma(beta + 1) * mu_sq * mp.mpf(t) ** alpha / alpha)
+        assert v == pytest.approx(float(want), rel=1e-9)
+        assert residual <= 1e-9 * (1.0 + mu_sq * abs(v))
 
 
 class TestHeat:

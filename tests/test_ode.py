@@ -88,6 +88,9 @@ class TestLinear:
         decaying = solve_linear(problem(1e300, TermSign.PLUS, 1.0, 1e-10, 1.0))
         assert decaying(1.0) == 0.0
         assert decaying.dual_evaluator(1.0) == DualNumber(0.0, 0.0)
+        # c = 0 is the zero solution, however large exp(rate * s) grows.
+        zero = solve_linear(problem(1.0, TermSign.MINUS, 0.0, 0.5, 1.0))
+        assert zero.dual_evaluator(1e6) == DualNumber(0.0, 0.0)
 
 
 class TestGeneral:
@@ -146,10 +149,33 @@ class TestGeneral:
         assert solve_general(lambda t, v: 0.0, 0.0, 1.0, 2.0, FracParams(0.5, 1.0), 8)(0.0) == 1.0
 
     def test_unresolvable_clock_is_a_domain_error(self):
-        # At alpha = 1e-17, t^alpha rounds to 1 on all of [1, 2]: the grid in
-        # s = t^alpha/alpha would have zero width.
+        # From t0 = 0 the grid spans s(t1) = t1^alpha/alpha, which exceeds the
+        # largest double at alpha = 1e-320.
         with pytest.raises(DomainError, match="cannot resolve"):
-            solve_general(lambda t, v: -v, 1.0, 1.0, 2.0, FracParams(1e-17, 1.0), 8)
+            solve_general(lambda t, v: -v, 0.0, 1.0, 2.0, FracParams(1e-320, 1.0), 8)
+
+    @pytest.mark.parametrize("alpha", [1e-10, 1e-17, 1e-320])
+    def test_small_alpha_keeps_its_accuracy(self, alpha):
+        # As alpha -> 0, s(t) - s(t0) -> ln(t/t0), so D v = -v (beta = 1)
+        # from v(t0) = 1 tends to v = t0/t; at alpha <= 1e-10 the two differ
+        # by less than 1e-9.  The grid's nodes are offsets from s(t0) and do
+        # not round with s itself, which is near 1/alpha.
+        sol = solve_general(lambda t, v: -v, 0.5, 1.0, 2.0, FracParams(alpha, 1.0), 100)
+        assert abs(sol(2.0) - 0.25) <= 1e-8
+        for i in range(1000):
+            t = 0.5 + 1.5 * i / 999
+            assert abs(sol(t) - 0.5 / t) <= 1e-8, t
+
+    def test_node_times_stay_in_range(self):
+        # Near the largest double the clock's inverse at the last node rounds
+        # above t1 (here to inf); g must still see times in [t0, t1].
+        seen = []
+        t1 = 1.7976931348623157e308
+        sol = solve_general(
+            lambda t, v: seen.append(t) or 0.0, 0.0, 1.0, t1, FracParams(0.9, 1.0), 8
+        )
+        assert sol(t1) == 1.0
+        assert min(seen) == 0.0 and max(seen) == t1
 
     @pytest.mark.parametrize("t0", [0.0, 1e-8, 1e-3])
     def test_starts_at_or_near_zero(self, t0):
