@@ -297,14 +297,12 @@ def _heat_tables(groups, t, xs, coefficients) -> list[CsvTable]:
     per grid point.
     """
     solutions = [solve_heat(prob, coefficients=coefficients) for group in groups for prob in group]
+    columns = series_grid(solutions, xs, t)
     bounds = list(itertools.accumulate((len(group) for group in groups), initial=0))
-    rows = [[] for _ in groups]
-    for x, cells in zip(xs, series_grid(solutions, xs, t)):
-        for table_rows, lo, hi in zip(rows, bounds, bounds[1:]):
-            table_rows.append((x, *cells[lo:hi]))
     return [
-        CsvTable(("x", *(_column_label(prob.alpha) for prob in group)), table_rows)
-        for group, table_rows in zip(groups, rows)
+        CsvTable(("x", *(_column_label(prob.alpha) for prob in group)),
+                 list(zip(xs, *columns[lo:hi])))
+        for group, lo, hi in zip(groups, bounds, bounds[1:])
     ]
 
 

@@ -12,7 +12,6 @@ alpha < 1.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 
 from .errors import Record, ToleranceNotMetError, ValidationError
@@ -207,7 +206,7 @@ class HeatSolution(Record):
 
     def evaluate(self, x: float, t: float) -> float:
         """Series value at (x, t); exactly 0 on the boundary."""
-        return next(series_grid((self,), (x,), t))[0]
+        return series_grid((self,), (x,), t)[0][0]
 
     __call__ = evaluate
 
@@ -229,18 +228,21 @@ def _kept_modes(coeffs, decay) -> int:
     return kept
 
 
-def series_grid(solutions, xs, t: float):
-    """Yield, for each x in ``xs``, the tuple of the solutions' values at (x, t).
+def series_grid(solutions, xs, t: float) -> list[list[float]]:
+    """The columns of the solutions' values at (x, t), one list per solution
+    with one value per x in ``xs``.
 
     The solutions must share L and the coefficients, as the alpha columns of
-    one table do.  The time factors e_n = exp(-rate_n * t^alpha) are computed
-    once per solution, and each column sums only its modes 1..K of
-    ``_kept_modes``: the weights |c_n * e_n| it drops are at most 2^-55, a
-    quarter ulp, of their total, below the rounding of the sum itself.  The
-    terms c_n * sin(n*pi*x/L) are computed once per x for n up to the largest
-    K, so a grid of X points and A columns costs K*X sines and N*A
-    exponentials.  Each value is exactly 0 on the boundary.  Rows are
-    produced lazily, so a point outside [0, L] raises when its row is reached.
+    one table do.  Every x is checked before any term is computed.  The time
+    factors e_n = exp(-rate_n * t^alpha) are computed once per solution, and
+    each column sums only its modes 1..K of ``_kept_modes``: the weights
+    |c_n * e_n| it drops are at most 2^-55, a quarter ulp, of their total,
+    below the rounding of the sum itself.  The columns are built mode by mode:
+    the terms c_n * sin(n*pi*x/L) over the grid are computed once for n up to
+    the largest K, and each column that keeps mode n adds e_n times them, in
+    the order of a plain left-to-right sum over n.  A grid of X points and A
+    columns so costs K*X sines, N*A exponentials and at most K*A list passes.
+    Each value is exactly 0 on the boundary.
     """
     solutions = tuple(solutions)
     first = solutions[0]
@@ -250,23 +252,33 @@ def series_grid(solutions, xs, t: float):
         raise ValidationError("the solutions of one grid must share L and the coefficients")
     if require_real("t", t) < 0.0:
         raise ValidationError(f"t must be non-negative, got {t}")
+    xs = list(xs)
+    edges = []
+    for i, x in enumerate(xs):
+        if type(x) is not float or not 0.0 < x < length:
+            if not 0.0 <= require_real("x", x) <= length:
+                raise ValidationError(f"x must lie in [0, {length}], got {x}")
+            if x == 0.0 or x == length:
+                edges.append(i)
     decays = []
     for sol in solutions:
         t_pow = t**sol.problem.alpha
         decay = [math.exp(-rate * t_pow) for rate in sol.decay_rates]
         decays.append(decay[:_kept_modes(coeffs, decay)])
-    kept = max(map(len, decays))
     freq = math.pi / length
-    freqs = [n * freq for n in range(1, kept + 1)]
-    edge = (0.0,) * len(solutions)
-    for x in xs:
-        if not 0.0 <= require_real("x", x) <= length:
-            raise ValidationError(f"x must lie in [0, {length}], got {x}")
-        if x == 0.0 or x == length:
-            yield edge
-            continue
-        terms = [c * math.sin(w * x) for c, w in zip(coeffs, freqs)]
-        yield tuple([sum(map(operator.mul, terms, decay)) for decay in decays])
+    sin = math.sin
+    columns = [[0.0] * len(xs) for _ in solutions]
+    for n in range(max(map(len, decays))):
+        c, w = coeffs[n], (n + 1) * freq
+        terms = [c * sin(w * x) for x in xs]
+        for j, decay in enumerate(decays):
+            if n < len(decay):
+                e = decay[n]
+                columns[j] = [a + s * e for a, s in zip(columns[j], terms)]
+    for column in columns:
+        for i in edges:
+            column[i] = 0.0
+    return columns
 
 
 def solve_heat(prob: HeatProblem, *, coefficients=None) -> HeatSolution:

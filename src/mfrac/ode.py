@@ -108,7 +108,10 @@ def solve_linear(prob: LinearOdeProblem) -> OdeSolution:
 
 
 def _in_t(t: float, alpha: float, v: float, dv_ds: float) -> DualNumber:
-    """(v, dv/dt) from dv/ds, by the chain rule dv/dt = dv/ds * t^(alpha-1)."""
+    """(v, dv/dt) from dv/ds, by the chain rule dv/dt = dv/ds * t^(alpha-1).
+    A zero dv/ds is returned as it is: it stays 0 where t^(alpha-1) overflows."""
+    if not dv_ds:
+        return DualNumber(v, dv_ds)
     try:
         dv_dt = dv_ds * t ** (alpha - 1.0)
     except (OverflowError, ZeroDivisionError):  # t^(alpha-1) beyond the largest double, or 1/0

@@ -255,8 +255,8 @@ class TestNonFiniteEnds:
             (["deriv", "--f", "0/((1/x)+(1-x^1000))", "--alpha", "1e-300", "--beta", "3.051",
               "--t", "1e300", "--i", "3", "--method", "closed"],
              1, "closed-form derivative is not finite (nan)"),
-            (["ode", "--mu-sq", "0.5", "--sign", "plus", "--c", "1e-300", "--alpha", "1e-300",
-              "--beta", "2", "--t", "1e-320"],
+            (["ode", "--mu-sq", "1e-10", "--sign", "plus", "--c", "1", "--alpha", "0.001",
+              "--beta", "1", "--t", "1e-320"],
              1, "solution's derivative at t=1e-320 is not finite (inf)"),
             (["integrate", "--f", "sqrt(x)", "--a", "0.999999", "--t", "1e308", "--alpha", "0.5",
               "--beta", "3.7"], 1, "integral is not finite (inf)"),
@@ -455,13 +455,16 @@ class TestOde:
               "--t", "1"], "1,0,0"),
             (["--mu-sq", "1e308", "--c", "1", "--alpha", "1e-320", "--beta", "3.7",
               "--t", "0.999999"], "0.99999899999999997,0,0"),
+            (["--mu-sq", "0.5", "--c", "1e-300", "--alpha", "1e-300", "--beta", "2",
+              "--t", "1e-320"], "9.9998886718268301e-321,0,0"),
         ],
-        ids=["tiny-alpha", "huge-mu-sq", "overflowing-slope"],
+        ids=["tiny-alpha", "huge-mu-sq", "overflowing-slope", "overflowing-chain-factor"],
     )
     def test_underflowing_solution_has_zero_derivative(self, capsys, flags, row):
         # The exponent -Gamma(beta+1) * mu^2 * t^alpha / alpha is beyond the
         # doubles and v underflows to 0.  The derivative is then 0, not nan,
-        # also where the rate Gamma(beta+1) * mu^2 itself overflows.
+        # also where the rate Gamma(beta+1) * mu^2 itself overflows, or the
+        # chain-rule factor t^(alpha-1) does.
         code, out, err = run_cli(capsys, "ode", "--sign", "plus", *flags)
         assert (code, err) == (0, "")
         assert out == f"t,v,residual\n{row}\n"

@@ -346,12 +346,15 @@ def plain_series(sol, x, t):
     return total
 
 
-def uncut_series(sol, x, t):
-    """The series over all N modes, in series_grid's order of operations."""
+def uncut_series(sol, x, t, modes=None):
+    """The series over the first ``modes`` modes (all N by default), summed
+    left to right in series_grid's order of operations."""
     freq = math.pi / sol.problem.L
     t_pow = t**sol.problem.alpha
-    return sum([c * math.sin(n * freq * x) * math.exp(-rate * t_pow)
-                for n, (c, rate) in enumerate(zip(sol.coefficients, sol.decay_rates), start=1)])
+    total = 0.0
+    for n, (c, rate) in enumerate(zip(sol.coefficients[:modes], sol.decay_rates), start=1):
+        total += (c * math.sin(n * freq * x)) * math.exp(-rate * t_pow)
+    return total
 
 
 def tail_weights(sol, t):
@@ -394,7 +397,7 @@ class TestSeriesGrid:
             xs += [min(length * i / (points - 1), length) for i in range(points)]
             bound = 1e-13 * (1.0 + sum(abs(c) for c in coeffs))
             for t in (0.0, rng.uniform(0.0, 2.0), rng.uniform(2.0, 200.0)):
-                rows = list(series_grid(sols, xs, t))
+                rows = list(zip(*series_grid(sols, xs, t)))
                 assert len(rows) == len(xs)
                 assert rows[0] == rows[1] == (0.0,) * len(sols)
                 for x, row in zip(xs, rows):
@@ -410,6 +413,38 @@ class TestSeriesGrid:
             sol.evaluate(x, t)
         with pytest.raises(ValidationError):
             list(series_grid([sol], [0.5, x], t))
+
+    @pytest.mark.parametrize("bad", [1.0 + 1e-12, -0.5, math.nan, math.inf, True, "0.5"])
+    def test_grid_is_checked_before_any_sine(self, monkeypatch, bad):
+        sol = solve_heat(paper_problem(n_terms=5), coefficients=(1.0, 0.5, 0.25, 0.1, 0.05))
+        xs = [i / 2000 for i in range(2000)] + [bad]
+        sines = counting_sines(monkeypatch)
+        with pytest.raises(ValidationError):
+            series_grid([sol], xs, 1.0)
+        assert sines == []
+
+    def test_benchmark_sized_table_is_the_plain_sum_of_kept_modes_bitwise(self):
+        # 2001 points, 6 alphas and the heat_grid range of t; every column
+        # equals a left-to-right loop over its kept modes, bit for bit.
+        n_terms = 31
+        length = 1.7
+        prob = HeatProblem(L=length, k=0.004, alpha=0.5, beta=1.0,
+                           initial_profile=parse(f"x*({length!r}-x)"), n_terms=n_terms)
+        coeffs = fourier_coeffs(prob)
+        alphas = (0.05, 0.2, 0.41, 0.6, 0.87, 1.0)
+        sols = [solve_heat(HeatProblem(length, 0.004, a, 1.0, prob.initial_profile, n_terms),
+                           coefficients=coeffs) for a in alphas]
+        xs = [min(length * i / 2000, length) for i in range(2001)]
+        cut = 0
+        for t in (1.0, 7.5, 100.0):
+            columns = series_grid(sols, xs, t)
+            assert len(columns) == len(sols)
+            for sol, column in zip(sols, columns):
+                kept = smallest_kept(tail_weights(sol, t))
+                cut += n_terms - kept
+                assert column[0] == column[-1] == 0.0
+                assert column[1:-1] == [uncut_series(sol, x, t, kept) for x in xs[1:-1]]
+        assert cut > 0
 
     def test_solutions_must_share_the_series(self):
         first = solve_heat(paper_problem(n_terms=3), coefficients=(1.0, 0.5, 0.25))
@@ -428,7 +463,7 @@ class TestSeriesGrid:
             sols = random_columns(rng, n_terms, coeffs)
             xs = [rng.uniform(0.0, sols[0].problem.L) for _ in range(10)]
             sines.clear()
-            rows = list(series_grid(sols, xs, 0.0))
+            rows = list(zip(*series_grid(sols, xs, 0.0)))
             assert len(sines) == n_terms * len(xs)
             for x, row in zip(xs, rows):
                 assert row == tuple(uncut_series(sol, x, 0.0) for sol in sols)
@@ -446,7 +481,7 @@ class TestSeriesGrid:
             xs = [rng.uniform(0.0, sols[0].problem.L) for _ in range(20)]
             t = rng.uniform(0.05, 5.0)
             sines.clear()
-            rows = list(series_grid(sols, xs, t))
+            rows = list(zip(*series_grid(sols, xs, t)))
             kept = max(smallest_kept(tail_weights(sol, t)) for sol in sols)
             assert len(sines) == kept * len(xs)
             cut += n_terms - kept
@@ -464,7 +499,7 @@ class TestSeriesGrid:
                 for a in (0.5, 1.0)]
         xs = [0.05, 0.1, 0.3, 0.5, 0.6]
         for t in (0.0, 1e-3):
-            for x, row in zip(xs, series_grid(sols, xs, t)):
+            for x, row in zip(xs, zip(*series_grid(sols, xs, t))):
                 assert row == tuple(uncut_series(sol, x, t) for sol in sols)
                 assert all(math.isfinite(v) for v in row)
 
@@ -472,7 +507,7 @@ class TestSeriesGrid:
     def test_zero_coefficients_give_float_zero(self, t):
         sols = [solve_heat(paper_problem(alpha=a, n_terms=4), coefficients=(0.0, -0.0, 0.0, 0.0))
                 for a in (0.3, 1.0)]
-        for row in series_grid(sols, [0.0, 0.25, 0.5, 0.9, 1.0], t):
+        for row in zip(*series_grid(sols, [0.0, 0.25, 0.5, 0.9, 1.0], t)):
             assert row == (0.0, 0.0)
             assert all(type(v) is float and math.copysign(1.0, v) == 1.0 for v in row)
 
