@@ -272,10 +272,6 @@ class DerivFamily(Record):
     def m_fractional(cls, beta: float) -> "DerivFamily":
         return cls(f"m_fractional(beta={beta:g})", beta, INFINITY)
 
-    @classmethod
-    def truncated(cls, beta: float, trunc: TruncationIndex) -> "DerivFamily":
-        return cls(f"truncated(beta={beta:g},i={trunc})", beta, trunc)
-
 
 def family_params(fam: DerivFamily, alpha: float) -> FracParams:
     """Parameters realizing the family member at derivative order alpha."""

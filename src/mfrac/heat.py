@@ -174,7 +174,13 @@ def fourier_coeffs(prob: HeatProblem) -> list[float]:
     profile = as_fn(prob.initial_profile)
 
     def project(pairs):
-        return [front * sum([s * math.sin(w * x) for s, x in pairs]) for w in freqs]
+        coeffs = []
+        for w in freqs:
+            total = 0.0  # left to right: the builtin sum is compensated from 3.12 on
+            for s, x in pairs:
+                total += s * math.sin(w * x)
+            coeffs.append(front * total)
+        return coeffs
 
     def rule(a, b, coarse):  # ``coarse``: the samples of one rule on [a, b]
         mid = 0.5 * (a + b)
@@ -184,7 +190,10 @@ def fourier_coeffs(prob: HeatProblem) -> list[float]:
         return values, gaps, pairs[:64], pairs[64:]
 
     whole = _gauss_samples(profile, 0.0, length)
-    scale = front * sum([abs(s) for s, _ in whole])
+    scale = 0.0
+    for s, _ in whole:
+        scale += abs(s)
+    scale *= front
     tol = max(_COEFF_ABS_TOL, _COEFF_ULPS * sys.float_info.epsilon * scale)
     try:
         return refine(rule, 0.0, length, whole, tol, 0.0,
@@ -216,7 +225,9 @@ def _kept_modes(coeffs, decay) -> int:
     or all N modes when that total overflows and so bounds nothing.  K >= 1
     keeps every sum a float."""
     weights = [abs(c * e) for c, e in zip(coeffs, decay)]
-    total = sum(weights)
+    total = 0.0  # left to right, as fourier_coeffs sums
+    for w in weights:
+        total += w
     kept = len(weights)
     if not math.isfinite(total):
         return kept

@@ -19,7 +19,7 @@ from .errors import ConvergenceError, DomainError, Record, ValidationError
 from .errors import require_finite, require_int, require_order, require_positive, require_real
 from .expr import DualNumber
 from .fracderiv import DualFn, FracParams, RealFn, deriv_closed
-from .special import gamma, ln_gamma, ln_time_change, time_change, time_change_inverse
+from .special import gamma, time_change, time_change_inverse
 
 __all__ = [
     "LinearOdeProblem",
@@ -72,25 +72,25 @@ def solve_linear(prob: LinearOdeProblem) -> OdeSolution:
     """Closed-form solution of D v +/- mu^2 v = 0: v = c * exp(-/+ rate * s)
     with rate = Gamma(beta+1) * mu^2.
 
-    A plus-signed term yields decay, a minus-signed term growth.  rate * s and
-    rate * v are finite wherever representable, even where rate or s is not.
+    A plus-signed term yields decay, a minus-signed term growth.  rate and s
+    are carried as frexp mantissas and exponents, so rate * s and rate * v
+    round as the plain products do, and stay finite wherever representable
+    even where rate or s is not.
     """
     sign = -1.0 if prob.sign is TermSign.PLUS else 1.0
-    rate = gamma(prob.p.beta + 1.0) * prob.mu_sq
-    ln_rate = ln_gamma(prob.p.beta + 1.0) + math.log(prob.mu_sq)
-    # rate = |rate_m| * 2^rate_e with |rate_m| <= 1, so v * rate_m cannot overflow.
-    rate_e = math.ceil(ln_rate / math.log(2.0))
-    rate_m = sign * math.exp(ln_rate - rate_e * math.log(2.0))
+    g_m, g_e = math.frexp(gamma(prob.p.beta + 1.0))
+    mu_m, mu_e = math.frexp(prob.mu_sq)
+    # rate = rate_m * 2^rate_e with |rate_m| < 1, so v * rate_m cannot overflow.
+    rate_m, rate_e = sign * g_m * mu_m, g_e + mu_e
     alpha, c = prob.p.alpha, prob.c
+    a_m, a_e = math.frexp(alpha)
 
     def value(t: float) -> float:
         if require_real("t", t) <= 0.0:
             raise DomainError(f"the solution is defined for t > 0, got {t!r}")
-        mag = rate * time_change(0.0, t, alpha)
-        if not 0.0 < mag < math.inf:  # from logarithms; beyond e^709 v is 0 or inf anyway
-            mag = math.exp(min(ln_rate + ln_time_change(t, alpha), 709.0))
-        try:
-            v = c * math.exp(sign * mag)
+        t_m, t_e = math.frexp(t**alpha)  # t^alpha is finite and positive here
+        try:  # an exponent beyond 2^1021 makes v 0 or inf anyway
+            v = c * math.exp(math.ldexp(rate_m * (t_m / a_m), min(rate_e + t_e - a_e, 1020)))
         except OverflowError:
             v = c * math.inf if c else c  # c = 0 stays 0
         return require_finite(f"solution at t={t!r}", v)
@@ -109,13 +109,21 @@ def solve_linear(prob: LinearOdeProblem) -> OdeSolution:
 
 def _in_t(t: float, alpha: float, v: float, dv_ds: float) -> DualNumber:
     """(v, dv/dt) from dv/ds, by the chain rule dv/dt = dv/ds * t^(alpha-1).
-    A zero dv/ds is returned as it is: it stays 0 where t^(alpha-1) overflows."""
+    A zero dv/ds is returned as it is: it stays 0 where t^(alpha-1) overflows.
+    Where only that factor overflows, dv/dt is dv/ds * t^alpha / t from frexp
+    parts, and inf only where it is itself beyond the doubles."""
     if not dv_ds:
         return DualNumber(v, dv_ds)
     try:
         dv_dt = dv_ds * t ** (alpha - 1.0)
-    except (OverflowError, ZeroDivisionError):  # t^(alpha-1) beyond the largest double, or 1/0
+    except ZeroDivisionError:  # 1/0: t = 0 with alpha < 1
         dv_dt = math.inf
+    except OverflowError:  # t^(alpha-1) beyond the largest double
+        (d_m, d_e), (p_m, p_e), (t_m, t_e) = map(math.frexp, (dv_ds, t**alpha, t))
+        try:
+            dv_dt = math.ldexp(d_m * p_m / t_m, d_e + p_e - t_e)
+        except OverflowError:
+            dv_dt = math.inf
     return DualNumber(v, require_finite(f"solution's derivative at t={t!r}", dv_dt))
 
 

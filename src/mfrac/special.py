@@ -21,7 +21,6 @@ __all__ = [
     "TruncationIndex",
     "gamma",
     "ln_gamma",
-    "ln_time_change",
     "ml_kernel",
     "ml_truncated",
     "time_change",
@@ -88,11 +87,6 @@ def time_change_inverse(t0: float, sigma: float, alpha: float) -> float:
         return t0 * math.exp(y * (math.log1p(x) / x if x else 1.0))
     except OverflowError:
         return math.inf
-
-
-def ln_time_change(t: float, alpha: float) -> float:
-    """ln s(t), finite for t > 0 also where s itself is not a normal double."""
-    return alpha * math.log(t) - math.log(alpha)
 
 
 class TruncationIndex(Record):

@@ -478,13 +478,18 @@ class TestOde:
              "--beta", "1", "--t", "3.7"],
             ["--sign", "minus", "--mu-sq", "1e-320", "--c", "3.7", "--alpha", "1e-320",
              "--beta", "1", "--t", "3.7"],
+            ["--sign", "plus", "--mu-sq", "1e-300", "--c", "1", "--alpha", "0.001",
+             "--beta", "1", "--t", "1e-310"],
         ],
-        ids=["overflowing-rate", "overflowing-clock-plus", "overflowing-clock-minus"],
+        ids=["overflowing-rate", "overflowing-clock-plus", "overflowing-clock-minus",
+             "overflowing-chain-rule"],
     )
     def test_moderate_exponent_from_extreme_factors(self, capsys, flags):
         # Gamma(beta+1) * mu^2 (3.6e314) or s = t^alpha/alpha (1e320) alone
         # exceeds the doubles, but their product, the exponent, is 362.88 or
-        # 1: v is far from 0 and infinity and must be printed right.
+        # 1: v is far from 0 and infinity and must be printed right.  The
+        # chain-rule factor t^(alpha-1) (10^309.7) alone overflows too, but
+        # the derivative behind the residual, about -4.9e9, does not.
         from mpmath import mp
 
         mp.dps = 30
@@ -497,6 +502,16 @@ class TestOde:
         want = c * mp.exp(sign * mp.gamma(beta + 1) * mu_sq * mp.mpf(t) ** alpha / alpha)
         assert v == pytest.approx(float(want), rel=1e-9)
         assert residual <= 1e-9 * (1.0 + mu_sq * abs(v))
+
+    def test_exponent_from_an_overflowing_rate_keeps_its_digits(self, capsys):
+        # The rate Gamma(11) * 1e308 overflows on its own; carried as mantissa
+        # and exponent it gives v to a few ulps and a residual near rounding.
+        code, out, err = run_cli(capsys, "ode", "--mu-sq", "1e308", "--sign", "plus", "--c", "1",
+                                 "--alpha", "1", "--beta", "10", "--t", "1e-312")
+        assert (code, err) == (0, "")
+        _, v, residual = (float(cell) for cell in out.splitlines()[1].split(","))
+        assert abs(v - 2.5305703031861590e-158) <= 1e-13 * 2.5305703031861590e-158
+        assert residual <= 1e-13 * 1e308 * v
 
 
 class TestHeat:

@@ -300,7 +300,7 @@ class TestFamilies:
         assert family_params(DerivFamily.generalized(7), 0.4) == fp(0.4, 1.0, 7)
         assert family_params(DerivFamily.m_fractional(2.0), 0.4) == fp(0.4, 2.0)
         assert family_params(
-            DerivFamily.truncated(1.5, TruncationIndex(3)), 0.4
+            DerivFamily("truncated(beta=1.5,i=3)", 1.5, TruncationIndex(3)), 0.4
         ) == fp(0.4, 1.5, 3)
 
     def test_quotient_forms_match_independent_implementations(self):

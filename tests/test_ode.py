@@ -1,6 +1,7 @@
 """Linear closed-form and general RK4 solver tests."""
 
 import math
+import random
 
 import pytest
 
@@ -91,6 +92,30 @@ class TestLinear:
         # c = 0 is the zero solution, however large exp(rate * s) grows.
         zero = solve_linear(problem(1.0, TermSign.MINUS, 0.0, 0.5, 1.0))
         assert zero.dual_evaluator(1e6) == DualNumber(0.0, 0.0)
+
+    def test_common_inputs_match_the_plain_product_bitwise(self):
+        # Where Gamma(beta+1) * mu^2, s = t^alpha/alpha and their product are
+        # normal doubles, the scaled mantissas round as the plain product does.
+        rng = random.Random(25)
+        for _ in range(2000):
+            mu_sq, alpha = rng.uniform(0.1, 3.0), rng.uniform(0.05, 1.0)
+            beta, t, c = rng.uniform(0.3, 3.0), rng.uniform(0.1, 3.0), rng.uniform(-5.0, 5.0)
+            sign = rng.choice((TermSign.PLUS, TermSign.MINUS))
+            sol = solve_linear(problem(mu_sq, sign, c, alpha, beta))
+            sgn = -1.0 if sign is TermSign.PLUS else 1.0
+            plain = c * math.exp(sgn * (math.gamma(beta + 1.0) * mu_sq) * (t**alpha / alpha))
+            assert sol(t) == plain, (mu_sq, sign, c, alpha, beta, t)
+
+    def test_derivative_where_only_the_chain_factor_overflows(self):
+        # t^(alpha-1) at t = 1e-310 is about 10^309.7, but dv/dt is about -4.9e9.
+        from mpmath import mp
+
+        mp.dps = 40
+        mu_sq, alpha, t = 1e-300, 0.001, 1e-310
+        sol = solve_linear(problem(mu_sq, TermSign.PLUS, 1.0, alpha, 1.0))
+        s = mp.mpf(t) ** alpha / alpha
+        want = -mu_sq * mp.exp(-mu_sq * s) * mp.mpf(t) ** (alpha - 1)
+        assert abs(sol.dual_evaluator(t).der - want) <= 1e-12 * abs(want)
 
 
 class TestGeneral:
