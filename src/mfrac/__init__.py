@@ -2,7 +2,7 @@
 
 The package provides the kernel special functions, an expression front-end
 with forward-mode differentiation, the derivative and integral operators of
-the kernel family, linear and general first-order ODE solvers, an analytical
+the kernel family, the closed-form linear first-order ODE, an analytical
 heat-equation solver, and a CSV-emitting command line interface.
 """
 
@@ -19,7 +19,6 @@ from .fracderiv import (
     DerivFamily,
     FracParams,
     LimitEstimate,
-    deriv_at_zero,
     deriv_closed,
     deriv_higher,
     deriv_higher_limit,
@@ -40,11 +39,10 @@ from .heat import (
     HeatSolution,
     fourier_coeffs,
     heat_residual,
-    limit_solutions,
     series_grid,
     solve_heat,
 )
-from .ode import LinearOdeProblem, OdeSolution, TermSign, solve_general, solve_linear, verify_linear
+from .ode import LinearOdeProblem, OdeSolution, TermSign, solve_linear, verify_linear
 from .special import (
     INFINITY,
     MLParams,
@@ -84,7 +82,6 @@ __all__ = [
     "as_fn",
     "check_inverse_di",
     "check_inverse_id",
-    "deriv_at_zero",
     "deriv_closed",
     "deriv_higher",
     "deriv_higher_limit",
@@ -96,7 +93,6 @@ __all__ = [
     "gamma",
     "heat_residual",
     "integrate_adaptive",
-    "limit_solutions",
     "ln_gamma",
     "mfrac_integral",
     "ml_kernel",
@@ -105,7 +101,6 @@ __all__ = [
     "parse",
     "rolle_witness",
     "series_grid",
-    "solve_general",
     "solve_heat",
     "solve_linear",
     "unparse",

@@ -4,8 +4,8 @@ The closed form t^(1-alpha) * f'(t) / Gamma(beta+1) is the workhorse; the
 limit-definition estimator exists to validate it numerically and to realize
 the special-case families (conformable, alternative, generalized, and the
 untruncated kernel) that correspond to particular (beta, truncation) choices.
-One rule, ``_settle``, judges both limits taken here: the Richardson table of
-the quotient as eps -> 0 and the Aitken rounds of the closed form as t -> 0+.
+One rule, ``_settle``, judges the limit taken here: the Richardson table of
+the quotient as eps -> 0.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "DerivFamily",
     "FracParams",
     "LimitEstimate",
-    "deriv_at_zero",
     "deriv_closed",
     "deriv_higher",
     "deriv_higher_limit",
@@ -36,10 +35,9 @@ __all__ = [
 DualFn = Callable[[float], DualNumber]
 RealFn = Callable[[float], float]
 
-# Richardson depth, and the relative settling of a limit and of deriv_at_zero.
+# Richardson depth, and the relative settling of a limit.
 _MAX_LEVELS = 20
 _LIMIT_SETTLE_REL = 1e-6
-_AT_ZERO_SETTLE_REL = 1e-8
 # The witnesses' root scan: points, accepted residual and bisection width.
 _SCAN_POINTS = 1024
 _ROOT_RESIDUAL_TOL = 1e-8
@@ -108,7 +106,9 @@ def _richardson(q, eps0):
 
 
 def _settle(estimates, rel: float, what: str):
-    """(value, change, index) of the estimate that changed least from the one
+    """The rule that judges each one-sided Richardson limit of the quotient.
+
+    (value, change, index) of the estimate that changed least from the one
     before it, pulled lazily until an estimate is not finite, a change is at
     most 1e-13 * (1 + |value|), or, from the seventh estimate on, a change
     exceeds 16 times the best: rounding noise has taken over.  Raises
@@ -178,47 +178,6 @@ def deriv_limit(f: RealFn, p: FracParams, t: float) -> LimitEstimate:
     require_order(p.alpha, closed=False)
     require_positive("t", t)
     return _quotient_limit(f, p, t, 0)
-
-
-def _aitken(seq):
-    """Yield the last entry of ``seq`` and then of each of five rounds of
-    iterated Aitken acceleration; an entry whose step is degenerate or not
-    finite passes through unaccelerated."""
-    yield seq[-1]
-    for _ in range(5):
-        nxt = []
-        for i in range(len(seq) - 2):
-            d2 = seq[i + 2] - 2.0 * seq[i + 1] + seq[i]
-            if d2 == 0.0 or not math.isfinite(d2):
-                nxt.append(seq[i + 2])
-                continue
-            accel = seq[i + 2] - (seq[i + 2] - seq[i + 1]) ** 2 / d2
-            nxt.append(accel if math.isfinite(accel) else seq[i + 2])
-        seq = nxt
-        yield seq[-1]
-
-
-def deriv_at_zero(f_dual: DualFn, p: FracParams) -> float:
-    """One-sided derivative at 0, as the limit of deriv_closed(t) for t -> 0+.
-
-    Samples t_k = 2^-k for k = 4..40 and settles iterated Aitken rounds of
-    that sequence within 1e-8.  The sequence diverges, and ConvergenceError
-    is raised, when its last step has the sign of the step before it and
-    exceeds both that step and 1e-13 * (1 + |last value|).
-    """
-    require_order(p.alpha, closed=False)
-    vals = []
-    for k in range(4, 41):
-        v = deriv_closed(f_dual, p, 2.0**-k)
-        if not math.isfinite(v):
-            raise ConvergenceError("derivative values are not finite approaching 0")
-        vals.append(v)
-    # Aitken would settle geometric growth at its anti-limit 0.  A convergent
-    # sequence may turn round near its limit, so a growing step must not.
-    last, before = vals[-1] - vals[-2], vals[-2] - vals[-3]
-    if last * before > 0.0 and abs(last) > max(abs(before), 1e-13 * (1.0 + abs(vals[-1]))):
-        raise ConvergenceError("derivative diverges approaching 0")
-    return _settle(_aitken(vals), _AT_ZERO_SETTLE_REL, "the limit of the derivative at 0")[0]
 
 
 def deriv_higher(f_derivs: Callable[[float, int], float], p: FracParams, n: int, t: float) -> float:

@@ -26,7 +26,6 @@ __all__ = [
     "HeatSolution",
     "fourier_coeffs",
     "heat_residual",
-    "limit_solutions",
     "series_grid",
     "solve_heat",
 ]
@@ -341,15 +340,3 @@ def heat_residual(sol: HeatSolution, x: float, t: float) -> float:
         lhs -= rate * prob.alpha / scale * term
         rhs -= prob.k * (n * freq) ** 2 * term
     return abs(lhs - rhs)
-
-
-def limit_solutions(prob: HeatProblem) -> tuple[HeatSolution, HeatSolution]:
-    """The beta -> 1 solution and the classical alpha = beta = 1 solution."""
-    reduced = solve_heat(
-        HeatProblem(prob.L, prob.k, prob.alpha, 1.0, prob.initial_profile, prob.n_terms)
-    )
-    classical = solve_heat(
-        HeatProblem(prob.L, prob.k, 1.0, 1.0, prob.initial_profile, prob.n_terms),
-        coefficients=reduced.coefficients,
-    )
-    return reduced, classical

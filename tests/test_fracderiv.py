@@ -24,7 +24,6 @@ from mfrac.expr import (
 from mfrac.fracderiv import (
     DerivFamily,
     FracParams,
-    deriv_at_zero,
     deriv_closed,
     deriv_higher,
     deriv_higher_limit,
@@ -200,45 +199,6 @@ class TestSettle:
         for seq in ([], [1.0], [math.nan, 1.0, 1.0]):
             with pytest.raises(ConvergenceError, match="the test sequence gave no two"):
                 fracderiv._settle(iter(seq), 1e-6, "the test sequence")
-
-
-class TestAtZero:
-    def test_identity_goes_to_zero(self):
-        value = deriv_at_zero(as_dual_fn(parse("x")), fp(0.5, 1.0))
-        assert abs(value) <= 1e-8
-
-    def test_power_alpha_is_constant(self):
-        value = deriv_at_zero(as_dual_fn(parse("x^0.5")), fp(0.5, 1.0))
-        assert_close(value, 0.5, 1e-8)
-
-    def test_constant_gives_zero(self):
-        assert deriv_at_zero(as_dual_fn(parse("3")), fp(0.3, 2.0)) == 0.0
-
-    def test_reciprocal_diverges(self):
-        with pytest.raises(ConvergenceError):
-            deriv_at_zero(as_dual_fn(parse("1/x")), fp(0.5, 1.0))
-
-    @pytest.mark.parametrize(
-        "source,alpha", [("x^0.3", 0.5), ("x^0.45", 0.5), ("0.42*x^3+x^0.5", 0.853)]
-    )
-    def test_slow_divergence_is_not_the_anti_limit(self, source, alpha):
-        # D f(t) grows like t^-0.2, t^-0.05 and t^-0.353: by less than 10^6
-        # over the samples, and Aitken's anti-limit of such growth is 0.
-        with pytest.raises(ConvergenceError, match="diverges"):
-            deriv_at_zero(as_dual_fn(parse(source)), fp(alpha, 1.0))
-
-    def test_slow_convergence_still_settles(self):
-        # D f(t) tends to 0 like t^0.042; its first steps are the largest.
-        value = deriv_at_zero(as_dual_fn(parse("-2.39*x^3+sqrt(x)*cos(x)")), fp(0.458, 1.0))
-        assert abs(value) <= 1e-8
-
-    def test_turning_sequence_is_not_divergent(self):
-        # D f(t) crosses 0 near t = 2^-37 and turns back towards it, so the
-        # last step grows but changes direction.
-        value = deriv_at_zero(
-            as_dual_fn(parse("-1.34*x+0.83*x*exp(0.55*x)+0.9*x^1.023")), fp(0.183, 1.0)
-        )
-        assert abs(value) <= 1e-8
 
 
 def _cubic_derivs(t, order):

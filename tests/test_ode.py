@@ -1,4 +1,4 @@
-"""Linear closed-form and general RK4 solver tests."""
+"""Linear closed-form ODE solver tests."""
 
 import math
 import random
@@ -6,10 +6,10 @@ import random
 import pytest
 
 from _support import assert_close
-from mfrac.errors import ConvergenceError, DomainError, ValidationError
+from mfrac.errors import DomainError, ValidationError
 from mfrac.expr import DualNumber
 from mfrac.fracderiv import FracParams
-from mfrac.ode import LinearOdeProblem, TermSign, solve_general, solve_linear, verify_linear
+from mfrac.ode import LinearOdeProblem, TermSign, solve_linear, verify_linear
 
 
 def problem(mu_sq, sign, c, alpha, beta):
@@ -116,111 +116,3 @@ class TestLinear:
         s = mp.mpf(t) ** alpha / alpha
         want = -mu_sq * mp.exp(-mu_sq * s) * mp.mpf(t) ** (alpha - 1)
         assert abs(sol.dual_evaluator(t).der - want) <= 1e-12 * abs(want)
-
-
-class TestGeneral:
-    def test_reproduces_linear_closed_form(self):
-        prob = problem(1.0, TermSign.PLUS, 1.0, 0.5, 1.0)
-        closed = solve_linear(prob)
-        v0 = closed(0.1)
-        sampled = solve_general(lambda t, v: -v, 0.1, v0, 2.0, prob.p, 1000)
-        assert abs(sampled(2.0) - closed(2.0)) <= 1e-8
-        for t in (0.37, 1.234, 1.999):
-            assert abs(sampled(t) - closed(t)) <= 1e-8
-
-    def test_zero_rhs_is_constant(self):
-        sol = solve_general(lambda t, v: 0.0, 0.5, 4.2, 3.0, FracParams(0.7, 2.0), 16)
-        for t in (0.5, 1.1, 2.6, 3.0):
-            assert sol(t) == 4.2
-
-    def test_transform_cancellation_gives_unit_slope(self):
-        # g = t^(1-alpha)/Gamma(beta+1) turns the transformed equation into v' = 1.
-        alpha, beta = 0.6, 1.8
-        scale = math.gamma(beta + 1.0)
-        sol = solve_general(
-            lambda t, v: t ** (1.0 - alpha) / scale, 0.5, 2.0, 2.5, FracParams(alpha, beta), 64
-        )
-        assert_close(sol(2.5), 4.0, 1e-10)
-
-    def test_fourth_order_convergence(self):
-        prob = problem(1.0, TermSign.PLUS, 1.0, 0.5, 1.0)
-        closed = solve_linear(prob)
-        v0 = closed(0.5)
-        errors = []
-        for steps in (40, 80):
-            sampled = solve_general(lambda t, v: -v, 0.5, v0, 2.5, prob.p, steps)
-            errors.append(abs(sampled(2.5) - closed(2.5)))
-        ratio = errors[0] / errors[1]
-        assert 12.0 <= ratio <= 20.0, ratio
-
-    def test_divergence_raises(self):
-        with pytest.raises(ConvergenceError):
-            solve_general(lambda t, v: v * v, 1.0, 100.0, 5.0, FracParams(0.5, 1.0), 100)
-
-    def test_step_count_validated(self):
-        with pytest.raises(ValidationError):
-            solve_general(lambda t, v: 0.0, 1.0, 1.0, 2.0, FracParams(0.5, 1.0), 3)
-
-    def test_range_enforced(self):
-        sol = solve_general(lambda t, v: 0.0, 1.0, 1.0, 2.0, FracParams(0.5, 1.0), 8)
-        with pytest.raises(DomainError):
-            sol(0.9)
-        with pytest.raises(DomainError):
-            sol(2.1)
-
-    def test_requires_positive_start(self):
-        with pytest.raises(ValidationError):
-            solve_general(lambda t, v: 0.0, -1e-300, 1.0, 2.0, FracParams(0.5, 1.0), 8)
-        assert solve_general(lambda t, v: 0.0, 0.0, 1.0, 2.0, FracParams(0.5, 1.0), 8)(0.0) == 1.0
-
-    def test_unresolvable_clock_is_a_domain_error(self):
-        # From t0 = 0 the grid spans s(t1) = t1^alpha/alpha, which exceeds the
-        # largest double at alpha = 1e-320.
-        with pytest.raises(DomainError, match="cannot resolve"):
-            solve_general(lambda t, v: -v, 0.0, 1.0, 2.0, FracParams(1e-320, 1.0), 8)
-
-    @pytest.mark.parametrize("alpha", [1e-10, 1e-17, 1e-320])
-    def test_small_alpha_keeps_its_accuracy(self, alpha):
-        # As alpha -> 0, s(t) - s(t0) -> ln(t/t0), so D v = -v (beta = 1)
-        # from v(t0) = 1 tends to v = t0/t; at alpha <= 1e-10 the two differ
-        # by less than 1e-9.  The grid's nodes are offsets from s(t0) and do
-        # not round with s itself, which is near 1/alpha.
-        sol = solve_general(lambda t, v: -v, 0.5, 1.0, 2.0, FracParams(alpha, 1.0), 100)
-        assert abs(sol(2.0) - 0.25) <= 1e-8
-        for i in range(1000):
-            t = 0.5 + 1.5 * i / 999
-            assert abs(sol(t) - 0.5 / t) <= 1e-8, t
-
-    def test_node_times_stay_in_range(self):
-        # Near the largest double the clock's inverse at the last node rounds
-        # above t1 (here to inf); g must still see times in [t0, t1].
-        seen = []
-        t1 = 1.7976931348623157e308
-        sol = solve_general(
-            lambda t, v: seen.append(t) or 0.0, 0.0, 1.0, t1, FracParams(0.9, 1.0), 8
-        )
-        assert sol(t1) == 1.0
-        assert min(seen) == 0.0 and max(seen) == t1
-
-    @pytest.mark.parametrize("t0", [0.0, 1e-8, 1e-3])
-    def test_starts_at_or_near_zero(self, t0):
-        # D v = -v at alpha = 0.5, beta = 1 is dv/ds = -v with s = 2 sqrt(t):
-        # v = exp(-2 sqrt(t)).  In t the equation carries t^(-1/2), which a
-        # grid uniform in t cannot resolve near 0.
-        def exact(t):
-            return math.exp(-2.0 * math.sqrt(t))
-
-        sol = solve_general(lambda t, v: -v, t0, exact(t0), 2.0, FracParams(0.5, 1.0), 100)
-        assert abs(sol(2.0) - exact(2.0)) <= 1e-8
-        for i in range(1000):
-            t = t0 + (2.0 - t0) * i / 999
-            assert abs(sol(t) - exact(t)) <= 1e-8, t
-
-    def test_derivative_at_zero_is_a_domain_error(self):
-        # dv/dt = (dv/ds) * t^(alpha-1) is infinite at t = 0 for alpha < 1.
-        sol = solve_general(lambda t, v: -v, 0.0, 1.0, 2.0, FracParams(0.5, 1.0), 8)
-        with pytest.raises(DomainError, match="derivative at t=0.0 is not finite"):
-            sol.dual_evaluator(0.0)
-        assert math.isfinite(sol.dual_evaluator(1e-300).der)
-        classical = solve_general(lambda t, v: -v, 0.0, 1.0, 2.0, FracParams(1.0, 1.0), 64)
-        assert_close(classical.dual_evaluator(0.0).der, -1.0, 1e-8)

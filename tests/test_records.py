@@ -30,7 +30,7 @@ from mfrac.expr import (
 from mfrac.fracderiv import DerivFamily, FracParams, LimitEstimate, deriv_closed, rolle_witness
 from mfrac.fracint import QuadratureResult, integrate_adaptive, mfrac_integral
 from mfrac.heat import HeatProblem, HeatSolution
-from mfrac.ode import LinearOdeProblem, OdeSolution, TermSign, solve_general, solve_linear
+from mfrac.ode import LinearOdeProblem, OdeSolution, TermSign, solve_linear
 from mfrac.special import INFINITY, MLParams, TruncationIndex
 
 X = Variable()
@@ -228,14 +228,13 @@ class TestRequireReal:
             lambda: LinearOdeProblem(mu_sq=True, sign=TermSign.PLUS, c=1.0, p=FracParams(0.5, 1.0)),
             lambda: LinearOdeProblem(mu_sq=1.0, sign=TermSign.PLUS, c=True, p=FracParams(0.5, 1.0)),
             lambda: solve_linear(LinearOdeProblem(1.0, TermSign.PLUS, 1.0, FracParams(0.5, 1.0)))(True),
-            lambda: solve_general(lambda t, v: 0.0, 0.5, True, 2.0, FracParams(0.5, 1.0), 8),
             lambda: integrate_adaptive(math.sin, True, 2.0),
             lambda: mfrac_integral(math.sin, 0.0, True, FracParams(0.5, 1.0)),
             lambda: FracParams(True, 1.0),
             lambda: MLParams(True),
             lambda: HeatProblem(True, 0.003, 0.5, 1.0, parse("x*(1-x)")),
         ],
-        ids=["deriv-t", "interval-a", "ode-mu-sq", "ode-c", "ode-solution-t", "general-v0",
+        ids=["deriv-t", "interval-a", "ode-mu-sq", "ode-c", "ode-solution-t",
              "quadrature-a", "integral-t", "frac-alpha", "ml-beta", "heat-L"],
     )
     def test_a_bool_is_not_a_real(self, call):

@@ -113,6 +113,23 @@ class TestLnGamma:
             gamma(big)
 
 
+class TestTimeChange:
+    @pytest.mark.parametrize("t0,t", [(0.5, 2.0), (1e-300, 1.0), (1.0, 1e300)])
+    @pytest.mark.parametrize("alpha", [0.5, 1e-10, 1e-17, 1e-320])
+    def test_matches_the_clock_difference(self, alpha, t0, t):
+        # s(t) - s(t0) = t0^alpha * expm1(alpha * ln(t/t0)) / alpha.  As alpha
+        # -> 0 the plain difference (t^alpha - t0^alpha) / alpha loses every
+        # digit, and the expm1 form must keep them all.
+        from mpmath import mp, mpf
+
+        got = special.time_change(t0, t, alpha)
+        with mp.workdps(50):
+            a = mpf(alpha)
+            want = mpf(t0) ** a * mp.expm1(a * mp.log(mpf(t) / mpf(t0))) / a
+            rel = float(abs(mpf(got) - want) / want)
+        assert rel <= 1e-15, rel
+
+
 class TestParams:
     def test_truncation_validation(self):
         with pytest.raises(ValidationError):

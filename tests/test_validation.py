@@ -30,7 +30,7 @@ from mfrac.fracint import (
     mfrac_integral,
 )
 from mfrac.heat import HeatProblem, heat_residual, series_grid, solve_heat
-from mfrac.ode import LinearOdeProblem, TermSign, solve_general, solve_linear
+from mfrac.ode import LinearOdeProblem, TermSign, solve_linear
 from mfrac.special import MLParams, TruncationIndex, gamma, ln_gamma, ml_kernel, ml_truncated
 
 P = FracParams(0.5, 1.0)
@@ -38,7 +38,6 @@ PROFILE = parse("50*x*(1-x)")
 SQUARE = parse("x^2")
 HEAT = solve_heat(HeatProblem(1.0, 0.003, 0.5, 1.0, PROFILE, 5))
 ODE = LinearOdeProblem(1.0, TermSign.PLUS, 1.0, P)
-GENERAL = solve_general(lambda t, v: -v, 0.5, 1.0, 2.0, P, 8)
 
 
 def cubic_derivs(t, m):
@@ -84,10 +83,6 @@ REAL_ENTRIES = {
     "LinearOdeProblem-mu_sq": lambda v: LinearOdeProblem(v, TermSign.PLUS, 1.0, P),
     "LinearOdeProblem-c": lambda v: LinearOdeProblem(1.0, TermSign.PLUS, v, P),
     "solve_linear-t": lambda v: solve_linear(ODE)(v),
-    "solve_general-t0": lambda v: solve_general(lambda t, y: -y, v, 1.0, 2.0, P, 8),
-    "solve_general-v0": lambda v: solve_general(lambda t, y: -y, 0.5, v, 2.0, P, 8),
-    "solve_general-t1": lambda v: solve_general(lambda t, y: -y, 0.5, 1.0, v, P, 8),
-    "solve_general-solution-t": lambda v: GENERAL(v),
     "HeatProblem-L": lambda v: HeatProblem(v, 0.003, 0.5, 1.0, PROFILE),
     "HeatProblem-k": lambda v: HeatProblem(1.0, v, 0.5, 1.0, PROFILE),
     "HeatProblem-alpha": lambda v: HeatProblem(1.0, 0.003, v, 1.0, PROFILE),
@@ -116,7 +111,6 @@ COUNT_ENTRIES = {
     "TruncationIndex": (TruncationIndex, 0),
     "DerivFamily.generalized": (DerivFamily.generalized, 0),
     "HeatProblem-n_terms": (lambda n: HeatProblem(1.0, 0.003, 0.5, 1.0, PROFILE, n), 1),
-    "solve_general-steps": (lambda n: solve_general(lambda t, y: -y, 0.5, 1.0, 2.0, P, n), 4),
     "deriv_higher-n": (lambda n: deriv_higher(cubic_derivs, FracParams(1.5, 1.0), n, 2.0), 0),
     "deriv_higher_limit-n": (
         lambda n: deriv_higher_limit(cubic_derivs, FracParams(1.5, 1.0), n, 2.0), 0),
