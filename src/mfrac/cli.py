@@ -51,22 +51,29 @@ class CsvTable(Record):
 
         A row that the all-number format rejects (a str cell such as a
         compare label, or a row that is not a tuple) is formatted cell by
-        cell into the same bytes.
+        cell into the same bytes; a row of the wrong width raises
+        ValidationError.
         """
         number = ",".join(["%.17g"] * len(self.header))
         lines = [",".join(self.header)]
         for row in self.rows:
-            if len(row) != len(self.header):
-                raise ValidationError("table rows must match the header width")
             try:
                 lines.append(number % row)
             except TypeError:
+                # A row of the wrong width always lands here: ``%`` rejects it.
+                if len(row) != len(self.header):
+                    raise ValidationError("table rows must match the header width") from None
                 lines.append(",".join([self._cell(v) for v in row]))
         return "\n".join(lines) + "\n"
 
     def write(self, path: str):
-        with open(path, "w", encoding="ascii", newline="") as handle:
-            handle.write(self.to_csv())
+        """Write the CSV as ASCII bytes; a table that is not ASCII creates no file."""
+        try:
+            data = self.to_csv().encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise ValidationError(f"a CSV table must be ASCII text: {exc}") from None
+        with open(path, "wb") as handle:
+            handle.write(data)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -284,8 +291,10 @@ def _heat_setup(config) -> tuple[list[HeatProblem], float, list[float]]:
         raise ValidationError(f"config key 'f': {exc}") from None
 
     problems = [HeatProblem(length, diffusivity, a, beta, profile, n_terms) for a in alphas]
-    # L*(n-1)/(n-1) can round above L; the grid must stay inside [0, L].
-    xs = [min(length * i / (x_points - 1), length) for i in range(x_points)]
+    xs = [length * i / (x_points - 1) for i in range(x_points)]
+    # L*(n-1)/(n-1) can round above L and no other finite point can; the grid
+    # must stay inside [0, L].  series_grid rejects the inf of an overflowing L*i.
+    xs[-1] = min(xs[-1], length)
     return problems, t, xs
 
 

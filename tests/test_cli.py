@@ -50,8 +50,19 @@ class TestCsvTable:
     def test_rectangularity_enforced(self):
         from mfrac.errors import ValidationError
 
-        with pytest.raises(ValidationError):
-            CsvTable(("a", "b"), [(1.0,)]).to_csv()
+        # Too narrow, a tuple too wide, a list too narrow and a labelled row too wide.
+        for rows in ([(1.0,)], [(0.5, 1.0), (1.0, 2.0, 3.0)], [[1.0, 2.0], [3.0]],
+                     [("label", 1.0, 2.0)]):
+            with pytest.raises(ValidationError, match="table rows must match the header width"):
+                CsvTable(("a", "b"), rows).to_csv()
+
+    def test_non_ascii_table_writes_no_file(self, tmp_path):
+        from mfrac.errors import ValidationError
+
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValidationError, match="ASCII"):
+            CsvTable(("\u00e9",), [(1.0,)]).write(str(path))
+        assert not path.exists()
 
 
 class TestMlEval:
@@ -222,6 +233,19 @@ class TestOverflow:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "decay rate of mode n=1" in proc.stderr
+        assert not out_path.exists()
+
+    def test_heat_grid_overflow_exits_one(self, tmp_path, capsys):
+        # L*i overflows from i = 2 on, so the grid holds inf, which is
+        # rejected rather than clamped to L.
+        out_path = tmp_path / "o.csv"
+        code, _, err = run_cli(
+            capsys, "heat", "--L", "1e308", "--k", "1", "--alpha", "0.5", "--beta", "1",
+            "--f", "0*x", "--t", "1", "--n-terms", "3", "--x-points", "5",
+            "--output", str(out_path),
+        )
+        assert code == 1
+        assert "x must be a finite real, got inf" in err
         assert not out_path.exists()
 
     def test_finite_truncation_overflow_exits_two(self):
@@ -581,6 +605,24 @@ class TestHeat:
         assert code == 0, err
         _, rows = read_csv(out_path)
         assert rows[-1] == [0.1, 0.0]
+
+    def test_only_the_last_grid_point_is_clamped(self, tmp_path, capsys):
+        # 0.9 * 13 / 13 rounds to 0.9000000000000001, above L; the interior
+        # points keep their unclamped values 0.9 * i / 13.
+        out_path = tmp_path / "heat.csv"
+        code, _, err = run_cli(
+            capsys, "heat", "--L", "0.9", "--k", "0.01", "--alpha", "0.5", "--alpha", "1",
+            "--beta", "2", "--f", "x*(0.9-x)", "--t", "1", "--x-points", "14",
+            "--n-terms", "9", "--output", str(out_path),
+        )
+        assert code == 0, err
+        assert 0.9 * 13 / 13 > 0.9
+        _, rows = read_csv(out_path)
+        xs = [row[0] for row in rows]
+        assert [x.hex() for x in xs[:-1]] == [(0.9 * i / 13).hex() for i in range(13)]
+        assert xs[-1].hex() == (0.9).hex()
+        assert out_path.read_text().splitlines()[-1].startswith("0.90000000000000002,")
+        assert rows[-1][1:] == [0.0, 0.0]
 
     def test_large_profile_meets_its_tolerance(self, tmp_path, capsys):
         # c_1 is about 2.6e11 here, so an absolute 1e-12 is below one ulp of it.
