@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import os
 import sys
@@ -17,13 +18,26 @@ import sys
 from .errors import ConvergenceError, DomainError, Record, ValidationError
 from .errors import require_finite, require_int, require_positive, require_real
 from .expr import as_dual_fn, as_fn, parse
-from .fracderiv import DerivFamily, FracParams, deriv_closed, deriv_limit, family_params
-from .fracint import mfrac_integral
 from .heat import HeatProblem, fourier_coeffs, series_grid, solve_heat
-from .ode import LinearOdeProblem, TermSign, solve_linear, verify_linear
 from .special import INFINITY, MLParams, TruncationIndex, ml_truncated
 
 __all__ = ["CsvTable", "main", "run"]
+
+# The names that only deriv, integrate, ode and compare call, with their home
+# modules.  They are bound on first use, so that `figures` and `heat` never
+# load fracderiv, fracint or ode.
+_DEFERRED = {
+    "DerivFamily": "fracderiv",
+    "FracParams": "fracderiv",
+    "deriv_closed": "fracderiv",
+    "deriv_limit": "fracderiv",
+    "family_params": "fracderiv",
+    "mfrac_integral": "fracint",
+    "LinearOdeProblem": "ode",
+    "TermSign": "ode",
+    "solve_linear": "ode",
+    "verify_linear": "ode",
+}
 
 _BOTH_METHODS_TOL = 1e-5
 
@@ -173,6 +187,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _bind_deferred():
+    """Bind every name of _DEFERRED, once.  A name that is already bound, such
+    as a wrapper set on this module from outside, keeps its value."""
+    namespace = globals()
+    for name, module in _DEFERRED.items():
+        if name not in namespace:
+            namespace[name] = getattr(__import__(module, namespace, None, (name,), 1), name)
+
+
+def __getattr__(name):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_deferred()
+    return globals()[name]
+
+
 def _cmd_ml_eval(args) -> int:
     value = ml_truncated(args.z, MLParams(args.beta, args.i))
     print(repr(value))
@@ -180,6 +211,7 @@ def _cmd_ml_eval(args) -> int:
 
 
 def _cmd_deriv(args) -> int:
+    _bind_deferred()
     tree = parse(args.f)
     p = FracParams(args.alpha, args.beta, args.i)
     if args.method != "limit":
@@ -200,6 +232,7 @@ def _cmd_deriv(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    _bind_deferred()
     result = mfrac_integral(
         as_fn(parse(args.f)), args.a, args.t, FracParams(args.alpha, args.beta)
     )
@@ -209,6 +242,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_ode(args) -> int:
+    _bind_deferred()
     p = FracParams(args.alpha, args.beta)
     prob = LinearOdeProblem(args.mu_sq, TermSign(args.sign), args.c, p)
     sol = solve_linear(prob)
@@ -354,6 +388,7 @@ def _compare_families() -> list[DerivFamily]:
 
 
 def _cmd_compare(args) -> int:
+    _bind_deferred()
     tree = parse(args.f)
     f = as_fn(tree)
     reference = deriv_closed(as_dual_fn(tree), FracParams(args.alpha, 1.0), args.t)
@@ -382,7 +417,25 @@ def main(argv=None) -> int:
 
 
 def run():
-    sys.exit(main())
+    """Run `main` on the command line and exit with its code.
+
+    Standard output is flushed here, so that a write that fails only at the
+    flush (a full disk, say) exits 3 with one error line like any I/O error.
+    The heap is then frozen: the interpreter's collections at exit skip every
+    object the process built, instead of walking them all for nothing.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 3
+        # The interpreter flushes stdout once more at exit; make that one succeed.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

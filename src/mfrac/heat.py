@@ -6,7 +6,8 @@ sin(n*pi*x/L) and time factors exp(-Gamma(beta+1) * (n*pi/L)^2 * (k/alpha)
 * t^alpha); only the negative separation constant produces nontrivial modes,
 so the solver carries exactly that branch.  alpha = 1 is admitted here to
 realize the classical limit even though the limit-definition operators keep
-alpha < 1.
+alpha < 1.  The sine projection runs on the engine in ``quad``, so the heat
+solver loads neither the derivative nor the integral operators.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import sys
 from .errors import Record, ToleranceNotMetError, ValidationError
 from .errors import require_finite, require_int, require_order, require_positive, require_real
 from .expr import Expr, as_fn, evaluate, unparse
-from .fracint import integrate_adaptive  # noqa: F401  (benchmarks/tracer.py wraps it)
-from .fracint import refine
+from .quad import integrate_adaptive  # noqa: F401  (benchmarks/tracer.py wraps it)
+from .quad import refine
 from .special import _TAIL_REL, gamma
 
 __all__ = [
@@ -152,7 +153,7 @@ def _gauss_samples(profile, a: float, b: float) -> list[tuple[float, float]]:
 def fourier_coeffs(prob: HeatProblem) -> list[float]:
     """Sine-projection coefficients c_n = (2/L) * integral of f(x) sin(n pi x / L).
 
-    ``fracint.refine`` with one component per mode and a 64-point
+    ``quad.refine`` with one component per mode and a 64-point
     Gauss-Legendre rule whose profile samples all N modes share, so a mode
     costs only its sines and multiply-adds.  A panel's value is the rule on
     its two halves, its estimate per mode the gap to the rule on the whole

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite: random instance generators, oracles and
 subprocess runners."""
 
+import importlib.util
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import mfrac
 from mfrac.expr import (
@@ -38,6 +40,19 @@ def run_python(*args):
 def run_module(*argv):
     """Run the CLI, ``python -m mfrac ARGV``, in a separate interpreter."""
     return run_python("-m", "mfrac", *argv)
+
+
+def load_workloads():
+    """`benchmarks/workloads.py`, loaded from its file and only read; loaded
+    once, so every test module shares one copy."""
+    if "workloads" not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # the dataclass looks its module up
+        spec.loader.exec_module(module)
+    return sys.modules["workloads"]
+
 
 _TERM_KINDS = ("const", "linear", "square", "cube", "sin", "cos", "exp_half")
 

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -390,6 +392,84 @@ class TestColdStart:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"{[0] * len(calls)} []"
+
+    def test_import_mfrac_loads_no_submodule(self):
+        proc = run_python(
+            "-S", "-c",
+            "import sys, mfrac; print(sorted(m for m in sys.modules if m.startswith('mfrac.')))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command,loaded", [("figures", False), ("heat", False),
+                                                ("compare", True)])
+    def test_only_the_operator_commands_load_the_operators(self, tmp_path, command, loaded):
+        argv = {
+            "figures": ["figures", "--output-dir", str(tmp_path)],
+            "heat": ["heat", "--L", "1", "--k", "0.01", "--alpha", "0.5", "--beta", "1",
+                     "--f", "x*(1-x)", "--n-terms", "5", "--t", "1", "--x-points", "5",
+                     "--output", str(tmp_path / "heat.csv")],
+            "compare": ["compare", "--f", "x^2", "--alpha", "0.5", "--t", "1"],
+        }[command]
+        proc = run_python(
+            "-S", "-c",
+            "import sys\n"
+            "from mfrac import cli\n"
+            f"code = cli.main({argv!r})\n"
+            "print(code, sorted({'mfrac.fracderiv', 'mfrac.fracint', 'mfrac.ode'}"
+            " & set(sys.modules)))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        operators = ["mfrac.fracderiv", "mfrac.fracint", "mfrac.ode"] if loaded else []
+        assert proc.stdout.splitlines()[-1] == f"0 {operators}"
+
+    def test_deferred_names_resolve_before_any_command(self):
+        # benchmarks/tracer.py wraps these names with getattr and setattr on
+        # the module before any command has run.
+        proc = run_python(
+            "-S", "-c",
+            "from mfrac import cli, fracderiv, fracint, ode\n"
+            "homes = {'fracderiv': fracderiv, 'fracint': fracint, 'ode': ode}\n"
+            "print(all(getattr(cli, name) is getattr(homes[home], name)\n"
+            "          for name, home in cli._DEFERRED.items()))\n"
+            "cli.no_such_name",
+        )
+        assert proc.stdout.strip() == "True"
+        assert proc.stderr.splitlines()[-1] == (
+            "AttributeError: module 'mfrac.cli' has no attribute 'no_such_name'"
+        )
+
+    def test_deferred_binding_keeps_a_name_bound_before_it(self):
+        # A wrapper set before the first command is what that command calls.
+        proc = run_python(
+            "-S", "-c",
+            "from mfrac import cli, fracderiv\n"
+            "calls = []\n"
+            "def traced(*args):\n"
+            "    calls.append(args)\n"
+            "    return fracderiv.deriv_closed(*args)\n"
+            "cli.deriv_closed = traced\n"
+            "code = cli.main(['deriv', '--f', 'x^2', '--alpha', '0.5', '--beta', '1',\n"
+            "                 '--t', '1', '--method', 'closed'])\n"
+            "print(code, len(calls), cli.deriv_closed is traced,\n"
+            "      cli.deriv_limit is fracderiv.deriv_limit)",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 1 True True"
+
+    def test_run_freezes_the_heap(self):
+        proc = run_python(
+            "-S", "-c",
+            "import gc, sys\n"
+            "from mfrac import cli\n"
+            "sys.argv = ['mfrac', 'ml-eval', '--z', '0.5', '--beta', '1', '--i', '3']\n"
+            "try:\n"
+            "    cli.run()\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count() > 0)",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 True"
 
     def test_config_file_still_loads(self, tmp_path):
         out_path = tmp_path / "o.csv"
@@ -827,6 +907,21 @@ class TestCompare:
 
 
 class TestExitCodes:
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_stdout_flush_exits_three(self):
+        # With stdout buffered, the write fails only when run() flushes it.
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mfrac", "compare", "--f", "x^2", "--alpha", "0.5",
+                 "--t", "1"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        assert proc.returncode == 3
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ")
+
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "nope")[0] == 1
 

@@ -1,22 +1,17 @@
-"""Integral-operator tests: quadrature accuracy, scaling laws, inverse identities."""
+"""Integral-operator tests: the quadrature engine in `mfrac.quad`, scaling
+laws of the weighted integral, inverse identities."""
 
 import math
 
 import pytest
 
 from _support import assert_close
-from mfrac import fracint
+from mfrac import quad
 from mfrac.errors import ToleranceNotMetError, ValidationError
 from mfrac.expr import as_dual_fn, as_fn, parse
 from mfrac.fracderiv import FracParams
-from mfrac.fracint import (
-    QuadratureResult,
-    check_inverse_di,
-    check_inverse_id,
-    integrate_adaptive,
-    mfrac_integral,
-    refine,
-)
+from mfrac.fracint import check_inverse_di, check_inverse_id, mfrac_integral
+from mfrac.quad import QuadratureResult, integrate_adaptive, refine
 
 
 def fp(alpha, beta):
@@ -67,7 +62,7 @@ class TestAdaptiveQuadrature:
         exact = 2.0 * (math.sqrt(c - 1.0) + math.sqrt(2.0 - c))
         assert abs(best.value - exact) <= 1e-2
         assert best.subdivisions > 10
-        assert best.subdivisions < fracint._MAX_PANELS  # the floor, not the budget
+        assert best.subdivisions < quad._MAX_PANELS  # the floor, not the budget
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -82,7 +77,7 @@ def kronrod_rule(*fs):
     """A refine rule with one G7/K15 component per function in ``fs``."""
 
     def rule(lo, hi, _):
-        panels = [fracint._kronrod_panel(f, lo, hi) for f in fs]
+        panels = [quad._kronrod_panel(f, lo, hi) for f in fs]
         return [v for (v,), _, _, _ in panels], [e for _, (e,), _, _ in panels], None, None
 
     return rule
@@ -119,7 +114,7 @@ class TestRefine:
         with pytest.raises(ToleranceNotMetError, match="after 512 panels") as info:
             refine(rule, 0.0, 1.0, None, 0.5, 0.0, "the width")
         assert "component" not in str(info.value)
-        assert info.value.best == ([1.0], [1.0], fracint._MAX_PANELS)
+        assert info.value.best == ([1.0], [1.0], quad._MAX_PANELS)
 
     def test_width_floor_raises_with_the_best_triple(self):
         # Only the panel holding c has an estimate, so the halving goes depth
@@ -130,7 +125,7 @@ class TestRefine:
             refine(rule, 0.0, 1.0, None, 0.5, 0.0, "the step")
         values, errors, panels = info.value.best
         assert values == [1.0, 0.0] and errors == [0.0, 1.0]
-        assert 40 <= panels < fracint._MAX_PANELS
+        assert 40 <= panels < quad._MAX_PANELS
 
     def test_non_finite_value_names_what_is_integrated(self):
         rule = lambda lo, hi, _: ((math.inf if lo == 0.5 else 1.0,), (1.0,), None, None)

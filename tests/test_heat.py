@@ -11,7 +11,6 @@ from mfrac import heat
 from mfrac.errors import DomainError, ToleranceNotMetError, ValidationError
 from mfrac.expr import as_fn, parse
 from mfrac.fracderiv import FracParams
-from mfrac.fracint import integrate_adaptive
 from mfrac.heat import (
     HeatProblem,
     HeatSolution,
@@ -21,6 +20,7 @@ from mfrac.heat import (
     solve_heat,
 )
 from mfrac.ode import LinearOdeProblem, OdeSolution, TermSign, solve_linear, verify_linear
+from mfrac.quad import integrate_adaptive
 from mfrac.expr import DualNumber
 
 PROFILE = parse("50*x*(1-x)")

@@ -28,9 +28,10 @@ from mfrac.expr import (
     parse,
 )
 from mfrac.fracderiv import DerivFamily, FracParams, LimitEstimate, deriv_closed, rolle_witness
-from mfrac.fracint import QuadratureResult, integrate_adaptive, mfrac_integral
+from mfrac.fracint import mfrac_integral
 from mfrac.heat import HeatProblem, HeatSolution
 from mfrac.ode import LinearOdeProblem, OdeSolution, TermSign, solve_linear
+from mfrac.quad import QuadratureResult, integrate_adaptive
 from mfrac.special import INFINITY, MLParams, TruncationIndex
 
 X = Variable()

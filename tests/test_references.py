@@ -8,31 +8,19 @@ meet those references.  The module is loaded from its file and only read.
 """
 
 import contextlib
-import importlib.util
 import io
 import itertools
-import sys
-from pathlib import Path
 
 import pytest
 
+from _support import load_workloads
 from mfrac.cli import main
 
 SEEDS = (1, 2)
 HEAT_OPS = 12
 CALCULUS_OPS = 240
 
-
-def _load_workloads():
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # the dataclass looks its module up
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load_workloads()
+workloads = load_workloads()
 
 
 def miss(op, tmp_path):

@@ -22,15 +22,10 @@ from mfrac.fracderiv import (
     mvt_witness,
     rolle_witness,
 )
-from mfrac.fracint import (
-    QuadratureResult,
-    check_inverse_di,
-    check_inverse_id,
-    integrate_adaptive,
-    mfrac_integral,
-)
+from mfrac.fracint import check_inverse_di, check_inverse_id, mfrac_integral
 from mfrac.heat import HeatProblem, heat_residual, series_grid, solve_heat
 from mfrac.ode import LinearOdeProblem, TermSign, solve_linear
+from mfrac.quad import QuadratureResult, integrate_adaptive
 from mfrac.special import MLParams, TruncationIndex, gamma, ln_gamma, ml_kernel, ml_truncated
 
 P = FracParams(0.5, 1.0)
