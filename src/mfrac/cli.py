@@ -81,12 +81,17 @@ class CsvTable(Record):
         return "\n".join(lines) + "\n"
 
     def write(self, path: str):
-        """Write the CSV as ASCII bytes; a table that is not ASCII creates no file."""
+        """Write the CSV as ASCII bytes; a table that is not ASCII, or a path
+        that cannot name a file, creates no file."""
         try:
             data = self.to_csv().encode("ascii")
         except UnicodeEncodeError as exc:
             raise ValidationError(f"a CSV table must be ASCII text: {exc}") from None
-        with open(path, "wb") as handle:
+        try:
+            handle = open(path, "wb")
+        except ValueError as exc:  # a NUL or a lone surrogate in the path
+            raise ValidationError(f"output path {path!r} cannot name a file: {exc}") from None
+        with handle:
             handle.write(data)
 
 
@@ -266,6 +271,10 @@ def _load_heat_config(args) -> dict:
                 loaded = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"config is not valid JSON: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"config is not UTF-8 text: {exc}") from None
+            except RecursionError:
+                raise ValidationError("config nests too deeply to read") from None
         if not isinstance(loaded, dict):
             raise ValidationError("config must be a JSON object")
         for key in loaded:

@@ -2,19 +2,20 @@
 
 Grammar (whitespace insensitive; 'x' and 't' denote the same variable):
 
-    expr    := term (('+' | '-') term)*
-    term    := factor (('*' | '/') factor)*
-    factor  := unary ('^' factor)?          right-associative power
+    expr    := unary (binop unary)*
     unary   := '-' unary | primary
     primary := number | 'x' | 't' | func '(' expr ')' | '(' expr ')'
     func    := 'sin' | 'cos' | 'exp' | 'ln' | 'sqrt' | 'abs'
 
-Note the power binds a whole unary, so "-x^2" parses as (-x)^2.  Number
-literals must be finite, and a tree may nest at most MAX_DEPTH levels.  Integer
-exponents (within 1e-12 of an integer) are evaluated by repeated
-multiplication, which keeps negative bases exact; a non-integer exponent over
-a negative base is a domain error (real-only semantics).  Any float fault while
-evaluating a node is a DomainError that quotes the node.
+A binop is one of the binary operators, each defined once in the table _BINARY
+that the parser, printer and compiler share: '+' and '-' bind loosest, then
+'*' and '/', then '^', which alone groups to the right.  Note the power binds
+a whole unary, so "-x^2" parses as (-x)^2.  Number literals must be finite,
+and a tree may nest at most MAX_DEPTH levels.  Integer exponents (within 1e-12
+of an integer) are evaluated by repeated multiplication, which keeps negative
+bases exact; a non-integer exponent over a negative base is a domain error
+(real-only semantics).  Any float fault while evaluating a node is a
+DomainError that quotes the node.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 # Deepest accepted tree: every operator, call, unary minus and parenthesized
-# group is one level.  Parsing takes at most six stack frames per level and
+# group is one level.  Parsing takes at most four stack frames per level and
 # printing, compiling or evaluating at most two, well inside Python's default
 # recursion limit of 1000.
 MAX_DEPTH = 100
@@ -151,7 +152,6 @@ _TOKEN_RE = re.compile(
 )
 
 _PRIMARY_EXPECTED = ("number", "'x'", "'t'", "function name", "'('", "'-'")
-_OPERATOR_EXPECTED = ("end of input", "'+'", "'-'", "'*'", "'/'", "'^'", "')'")
 
 
 def _byte_offset(source: str, index: int) -> int:
@@ -179,7 +179,8 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    """Recursive descent returning (node, depth).  ``level`` counts the groups,
+    """Precedence climbing over unaries, returning (node, depth): `parse_expr`
+    is the one loop over the binary operators.  ``level`` counts the groups,
     minuses and exponents around the current token, which stops recursion
     early; the returned depths catch left-deep chains, which never recurse."""
 
@@ -223,39 +224,28 @@ class _Parser:
             self.too_deep(tok)
         return depth
 
-    def enclosed(self, tok, parse):
+    def enclosed(self, tok, parse, *args):
         if self.level >= MAX_DEPTH:
             self.too_deep(tok)
         self.level += 1
-        node, depth = parse()
+        node, depth = parse(*args)
         self.level -= 1
         return node, depth
 
-    def parse_expr(self) -> tuple[Expr, int]:
-        node, depth = self.parse_term()
-        while (tok := self.peek()) is not None and tok[0] in ("+", "-"):
+    def parse_expr(self, floor: int = 0) -> tuple[Expr, int]:
+        """A unary and each operator binding at ``floor`` or tighter after it.  A
+        right operand binds one level tighter, but an exponent groups right."""
+        node, depth = self.parse_unary()
+        while (tok := self.peek()) is not None and (op := _INFIX.get(tok[0])) and op[1] >= floor:
+            node_type, level = op
             self.advance()
-            right, right_depth = self.parse_term()
-            node = Add(node, right) if tok[0] == "+" else Sub(node, right)
+            if node_type is _RIGHT:
+                right, right_depth = self.enclosed(tok, self.parse_expr, level)
+            else:
+                right, right_depth = self.parse_expr(level + 1)
+            node = node_type(node, right)
             depth = self.nest(tok, depth, right_depth)
         return node, depth
-
-    def parse_term(self) -> tuple[Expr, int]:
-        node, depth = self.parse_factor()
-        while (tok := self.peek()) is not None and tok[0] in ("*", "/"):
-            self.advance()
-            right, right_depth = self.parse_factor()
-            node = Mul(node, right) if tok[0] == "*" else Div(node, right)
-            depth = self.nest(tok, depth, right_depth)
-        return node, depth
-
-    def parse_factor(self) -> tuple[Expr, int]:
-        base, depth = self.parse_unary()
-        if (tok := self.peek()) is not None and tok[0] == "^":
-            self.advance()
-            exponent, exponent_depth = self.enclosed(tok, self.parse_factor)
-            return Pow(base, exponent), self.nest(tok, depth, exponent_depth)
-        return base, depth
 
     def parse_unary(self) -> tuple[Expr, int]:
         if (tok := self.peek()) is not None and tok[0] == "-":
@@ -304,31 +294,23 @@ def parse(source: str) -> Expr:
     return node
 
 
-# Printing uses the grammar's binding levels so parse(unparse(e)) == e.
-_LEVEL_EXPR, _LEVEL_TERM, _LEVEL_FACTOR, _LEVEL_UNARY, _LEVEL_PRIMARY = range(5)
-
-
+# Printing uses the parser's binding levels so parse(unparse(e)) == e.
 def _fmt(e: Expr, required: int) -> str:
     if isinstance(e, Constant):
         return repr(e.value)
     if isinstance(e, Variable):
         return "x"
     if isinstance(e, Call):
-        return f"{e.func}({_fmt(e.arg, _LEVEL_EXPR)})"
+        return f"{e.func}({_fmt(e.arg, 0)})"
     if isinstance(e, Neg):
         natural = _LEVEL_UNARY
         body = "-" + _fmt(e.operand, _LEVEL_UNARY)
-    elif isinstance(e, Pow):
-        natural = _LEVEL_FACTOR
-        body = _fmt(e.base, _LEVEL_UNARY) + "^" + _fmt(e.exponent, _LEVEL_FACTOR)
-    elif isinstance(e, (Mul, Div)):
-        natural = _LEVEL_TERM
-        op = "*" if isinstance(e, Mul) else "/"
-        body = _fmt(e.left, _LEVEL_TERM) + op + _fmt(e.right, _LEVEL_FACTOR)
-    elif isinstance(e, (Add, Sub)):
-        natural = _LEVEL_EXPR
-        op = "+" if isinstance(e, Add) else "-"
-        body = _fmt(e.left, _LEVEL_EXPR) + op + _fmt(e.right, _LEVEL_TERM)
+    elif (op := _BINARY.get(type(e))) is not None:
+        symbol, natural = op[0], op[1]
+        left, right = e._values()
+        # The operand on the side the operator does not group to binds tighter.
+        lo, hi = (natural + 1, natural) if type(e) is _RIGHT else (natural, natural + 1)
+        body = _fmt(left, lo) + symbol + _fmt(right, hi)
     else:
         raise ValidationError(f"not an Expr node: {e!r}")
     return body if natural >= required else f"({body})"
@@ -336,7 +318,7 @@ def _fmt(e: Expr, required: int) -> str:
 
 def unparse(e: Expr) -> str:
     """Render a tree back to source text that reparses to the identical tree."""
-    return _fmt(e, _LEVEL_EXPR)
+    return _fmt(e, 0)
 
 
 def _int_pow(base: float, n: int) -> float:
@@ -431,16 +413,23 @@ def _pow_dual(b: DualNumber, x: DualNumber) -> DualNumber:
     return DualNumber(val, p * b.val ** (p - 1.0) * b.der)
 
 
-# Binary node type -> (value rule, dual rule).  Every dual rule computes its
-# .val with the value rule's own float operation, so the two paths agree
+# The binary operators, each defined once: node type -> (symbol, binding
+# level, value rule, dual rule).  The parser, the printer and the compiler
+# all read this table; a higher level binds tighter.  Every dual rule computes
+# its .val with the value rule's own float operation, so the two paths agree
 # bitwise by construction.
-_BINARY_RULES = {
-    Add: (operator.add, operator.add),
-    Sub: (operator.sub, operator.sub),
-    Mul: (operator.mul, operator.mul),
-    Div: (operator.truediv, _div_dual),
-    Pow: (_pow, _pow_dual),
+_BINARY = {
+    Add: ("+", 0, operator.add, operator.add),
+    Sub: ("-", 0, operator.sub, operator.sub),
+    Mul: ("*", 1, operator.mul, operator.mul),
+    Div: ("/", 1, operator.truediv, _div_dual),
+    Pow: ("^", 2, _pow, _pow_dual),
 }
+# Token -> (node type, binding level), for the parser's loop.
+_INFIX = {symbol: (node_type, level) for node_type, (symbol, level, *_) in _BINARY.items()}
+_RIGHT = Pow  # the one operator that groups to the right; the others group left
+_LEVEL_UNARY = 1 + max(level for _, level in _INFIX.values())  # tighter than every binary
+_OPERATOR_EXPECTED = ("end of input", "')'", *[f"'{symbol}'" for symbol in _INFIX])
 
 # Function name -> (value rule f, derivative rule (v, f(v)) -> f'(v)).  The
 # rules do no domain checks of their own: math raises outside the domain, and
@@ -494,8 +483,8 @@ def _compile(e: Expr, dual: bool) -> Callable:
         case Pow(a, b) if not dual and type(p := _constant(b, dual)) is float and math.isfinite(p):
             n = round(p)  # _pow's integer test, settled once
             rule, args = (_int_pow, [a, Constant(n)]) if abs(p - n) < 1e-12 else (_frac_pow, [a, b])
-        case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b) | Pow(a, b):
-            rule, args = _BINARY_RULES[type(e)][dual], [a, b]
+        case _ if (op := _BINARY.get(type(e))) is not None:
+            rule, args = op[3 if dual else 2], list(e._values())
         case _:
             raise ValidationError(f"not a supported Expr node: {e!r}")
     if len(args) == 2 and (c := _constant(args[0], dual)) is not _NOT_CONSTANT:

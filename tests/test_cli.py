@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -140,6 +141,22 @@ class TestDeriv:
         )
         assert code == 0
         assert out.strip() == "48.0"
+
+    def test_disagreeing_methods_exit_two(self, capsys, monkeypatch):
+        real = cli.deriv_limit
+        monkeypatch.setattr(cli, "deriv_limit",
+                            lambda f, p, t: SimpleNamespace(value=real(f, p, t).value + 1e-3))
+        code, out, err = run_cli(
+            capsys, "deriv", "--f", "t^2", "--alpha", "0.5", "--beta", "1",
+            "--i", "1", "--t", "1", "--method", "both",
+        )
+        assert code == 2
+        closed, limit, gap = (float(v) for v in out.split(","))
+        assert out == f"{closed!r},{limit!r},{gap!r}\n"
+        assert closed == pytest.approx(2.0, rel=1e-13)
+        assert limit == pytest.approx(2.001, rel=1e-6)
+        assert gap == abs(closed - limit)
+        assert err == f"error: closed and limit values disagree by {gap:.3e}\n"
 
     def test_zero_truncation_exits_one(self, capsys):
         for method in ("closed", "limit", "both"):
@@ -490,6 +507,30 @@ class TestColdStart:
         assert "Traceback" not in proc.stderr
         assert "not valid JSON" in proc.stderr
 
+    @pytest.mark.parametrize("config,message", [
+        (b"\xff{}", "config is not UTF-8 text"),
+        (b"[" * 100_000 + b"]" * 100_000, "config nests too deeply"),
+        ({"output": "a\u0000b.csv"}, "embedded null byte"),
+        ({"output": "\ud800.csv"}, "surrogates not allowed"),
+    ], ids=["not-utf8", "deep", "nul-output", "surrogate-output"])
+    def test_malformed_config_exits_one_without_a_file(self, tmp_path, config, message):
+        cfg = tmp_path / "cfg.json"
+        flags = ["--output", str(tmp_path / "o.csv")]
+        if isinstance(config, dict):
+            config = json.dumps({
+                "L": 1.0, "k": 0.003, "alpha": 0.5, "beta": 1.0, "f": "50*x*(1-x)",
+                "n_terms": 3, "t": 1.0, "x_points": 3,
+                "output": str(tmp_path) + os.sep + config["output"],
+            }).encode("ascii")
+            flags = []
+        cfg.write_bytes(config)
+        proc = run_module("heat", "--config", str(cfg), *flags)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
 
 class TestIntegrate:
     def test_weight_cancellation(self, capsys):
@@ -819,6 +860,32 @@ class TestHeat:
         code, _, err = run_cli(capsys, "heat", "--config", str(cfg2))
         assert code == 1
         assert "alpha" in err
+
+    @pytest.mark.parametrize("change,message", [
+        (None, "config must be a JSON object"),
+        ({"f": None}, "config key 'f' is required"),
+        ({"f": 3}, "config key 'f' must be an expression string"),
+        ({"f": "x*(1-"}, "config key 'f': expected a value"),
+        ({"output": None}, "config key 'output' is required"),
+        ({"output": ["o.csv"]}, "config key 'output' must be a path"),
+    ], ids=["not-object", "f-missing", "f-not-string", "f-unparsable", "output-missing",
+            "output-not-string"])
+    def test_config_branch_names_its_key(self, tmp_path, capsys, change, message):
+        config = {
+            "L": 1.0, "k": 0.003, "alpha": 0.5, "beta": 1.0, "f": "50*x*(1-x)",
+            "n_terms": 3, "t": 1.0, "x_points": 3, "output": str(tmp_path / "o.csv"),
+        }
+        if change is None:
+            config = list(config.items())
+        else:
+            config.update(change)
+            config = {key: value for key, value in config.items() if value is not None}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "heat", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+        assert not (tmp_path / "o.csv").exists()
 
     def test_bad_profile_named(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
