@@ -22,15 +22,12 @@ class ConvergenceError(MfracError):
 
 
 class ToleranceNotMetError(ConvergenceError):
-    """Adaptive quadrature ran out of subdivision budget.
+    """Adaptive quadrature stopped short of its tolerance.
 
-    The best available estimate is kept in ``best`` so callers can still
-    inspect how far the computation got.
+    ``quad.refine`` raises it at its panel budget or its width floor; the
+    message gives the error estimate, the bound and the panel count.  No
+    partial result is kept.
     """
-
-    def __init__(self, message, best):
-        super().__init__(message)
-        self.best = best
 
 
 def require_real(name: str, value):

@@ -348,7 +348,8 @@ def _pow(base: float, p: float) -> float:
 
 
 class DualNumber(Record):
-    """Value and first derivative propagated together (forward-mode AD)."""
+    """Value and first derivative propagated together (forward-mode AD).  Its
+    operators take duals only; division and powers are _div_dual and _pow_dual."""
 
     __slots__ = ("val", "der")
 
@@ -357,39 +358,14 @@ class DualNumber(Record):
         object.__setattr__(self, "val", val)
         object.__setattr__(self, "der", der)
 
-    def _coerce(self, other) -> "DualNumber":
-        if isinstance(other, DualNumber):
-            return other
-        return DualNumber(float(other), 0.0)
-
     def __add__(self, other):
-        o = self._coerce(other)
-        return DualNumber(self.val + o.val, self.der + o.der)
-
-    __radd__ = __add__
+        return DualNumber(self.val + other.val, self.der + other.der)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return DualNumber(self.val - o.val, self.der - o.der)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return DualNumber(o.val - self.val, o.der - self.der)
+        return DualNumber(self.val - other.val, self.der - other.der)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return DualNumber(self.val * o.val, self.val * o.der + self.der * o.val)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.val == 0.0:
-            raise DomainError("dual division by a zero value")
-        return _div_dual(self, o)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
+        return DualNumber(self.val * other.val, self.val * other.der + self.der * other.val)
 
     def __neg__(self):
         return DualNumber(-self.val, -self.der)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import Record, ToleranceNotMetError, ValidationError
+from .errors import Record, ValidationError
 from .errors import require_finite, require_int, require_order, require_positive, require_real
 from .expr import Expr, as_fn, evaluate, unparse
 from .quad import integrate_adaptive  # noqa: F401  (benchmarks/tracer.py wraps it)
@@ -158,12 +158,13 @@ def fourier_coeffs(prob: HeatProblem) -> list[float]:
     costs only its sines and multiply-adds.  A panel's value is the rule on
     its two halves, its estimate per mode the gap to the rule on the whole
     panel, whose samples the parent panel hands down.  An analytic profile
-    settles on the first panel (192 samples).  Running out of panels raises
-    ToleranceNotMetError, whose ``best`` holds the unconverged coefficients;
-    a non-finite sample raises ValidationError.  Each mode's products are
-    added by an explicit left-to-right loop: ``reduce(operator.add, ...)``
-    makes the same additions, but about a third slower on Python 3.11, which
-    specializes the loop's float add.
+    settles on the first panel (192 samples).  Stopping at refine's panel
+    budget or width floor raises its ToleranceNotMetError, which names the
+    worst mode and carries no coefficients; a non-finite sample raises
+    ValidationError.  Each mode's products are added by an explicit
+    left-to-right loop: ``reduce(operator.add, ...)`` makes the same
+    additions, but about a third slower on Python 3.11, which specializes the
+    loop's float add.
 
     The tolerance is max(1e-12, 64 * eps * (2/L) * sum of |w_j f(x_j)|) over
     the one-panel samples.  Rounding in every coefficient grows with that
@@ -199,11 +200,8 @@ def fourier_coeffs(prob: HeatProblem) -> list[float]:
         scale += abs(s)
     scale *= front
     tol = max(_COEFF_ABS_TOL, _COEFF_ULPS * sys.float_info.epsilon * scale)
-    try:
-        return refine(rule, 0.0, length, whole, tol, 0.0,
-                      f"initial profile {unparse(prob.initial_profile)}")[0]
-    except ToleranceNotMetError as exc:
-        raise ToleranceNotMetError(str(exc), best=exc.best[0]) from None
+    return refine(rule, 0.0, length, whole, tol, 0.0,
+                  f"initial profile {unparse(prob.initial_profile)}")[0]
 
 
 class HeatSolution(Record):

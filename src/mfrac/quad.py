@@ -100,8 +100,8 @@ def refine(rule, a: float, b: float, seed, abs_tol: float, rel_tol: float, what:
 
     A non-finite value or estimate raises ValidationError naming ``what``.
     Needing more than _MAX_PANELS panels, or halving a panel no wider than
-    _MIN_WIDTH * (b - a), raises ToleranceNotMetError with that triple as
-    ``best``.
+    _MIN_WIDTH * (b - a), raises ToleranceNotMetError; its message gives the
+    worst pending component's estimate, its bound and the panel count.
     """
 
     def panel(lo, hi, seed):
@@ -123,17 +123,15 @@ def refine(rule, a: float, b: float, seed, abs_tol: float, rel_tol: float, what:
         heapq.heappush(heap, two := panel(mid, hi, right))
         totals = [t - v + v1 + v2 for t, v, v1, v2 in zip(totals, top[3], one[3], two[3])]
         errors = [e - g + g1 + g2 for e, g, g1, g2 in zip(errors, top[4], one[4], two[4])]
-    result = ([math.fsum(c) for c in zip(*[entry[3] for entry in heap])],
-              [math.fsum(c) for c in zip(*[entry[4] for entry in heap])], len(heap))
-    if not pending:
-        return result
-    i = max(pending, key=errors.__getitem__)
-    where = f" in component n={i + 1} of {len(errors)}" if len(errors) > 1 else ""
-    raise ToleranceNotMetError(
-        f"quadrature of {what} did not reach tolerance{where}: error estimate "
-        f"{errors[i]:.3e} still above {bounds[i]:.3e} after {len(heap)} panels",
-        best=result,
-    )
+    if pending:
+        i = max(pending, key=errors.__getitem__)
+        where = f" in component n={i + 1} of {len(errors)}" if len(errors) > 1 else ""
+        raise ToleranceNotMetError(
+            f"quadrature of {what} did not reach tolerance{where}: error estimate "
+            f"{errors[i]:.3e} still above {bounds[i]:.3e} after {len(heap)} panels"
+        )
+    return ([math.fsum(c) for c in zip(*[entry[3] for entry in heap])],
+            [math.fsum(c) for c in zip(*[entry[4] for entry in heap])], len(heap))
 
 
 def integrate_adaptive(
@@ -143,8 +141,8 @@ def integrate_adaptive(
     summed raw gaps |K15 - G7| at or below max(abs_tol, rel_tol * |value|).
 
     With b < a the value is negated.  Reaching refine's panel budget or width
-    floor raises ToleranceNotMetError whose ``best`` is the unconverged
-    QuadratureResult, signed the same way.
+    floor raises refine's ToleranceNotMetError, which carries no partial
+    result.
     """
     require_real("a", a)
     require_real("b", b)
@@ -156,10 +154,5 @@ def integrate_adaptive(
         return QuadratureResult(0.0, 0.0, 1)
     a, b, sign = (a, b, 1.0) if a < b else (b, a, -1.0)
     rule = lambda lo, hi, _: _kronrod_panel(f, lo, hi)
-    try:
-        (value,), (error,), panels = refine(rule, a, b, None, abs_tol, rel_tol, "the integrand")
-    except ToleranceNotMetError as exc:
-        (value,), (error,), panels = exc.best
-        best = QuadratureResult(sign * value, error, panels)
-        raise ToleranceNotMetError(str(exc), best=best) from None
+    (value,), (error,), panels = refine(rule, a, b, None, abs_tol, rel_tol, "the integrand")
     return QuadratureResult(sign * value, error, panels)

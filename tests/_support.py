@@ -4,6 +4,7 @@ subprocess runners."""
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,11 @@ def assert_close(actual, expected, tol, context=""):
     assert abs(actual - expected) <= tol, (
         f"{context}: |{actual!r} - {expected!r}| = {abs(actual - expected):.3e} > {tol:.3e}"
     )
+
+
+def panels_used(exc) -> int:
+    """The panel count N that a quadrature failure's message gives as "after N panels"."""
+    return int(re.search(r"after (\d+) panels", str(exc)).group(1))
 
 
 def eval_fn(tree):

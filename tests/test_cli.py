@@ -327,6 +327,44 @@ class TestNonFiniteEnds:
         assert abs(value - exact) <= 1e-12 * exact
 
 
+class TestQuadratureFailures:
+    """Each of refine's two ends, the panel budget and the width floor, for one
+    integral and for the sine projection: the whole exit-2 line, which names
+    the error estimate, its bound and the panel count.  `integrate` quotes the
+    integrand's bound, before the Gamma(beta+1) factor: 1e-10 / 2 at beta = 2."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["integrate", "--f", "(x^1000)+cos(1/x)", "--a", "1e-300", "--t", "0.5",
+              "--alpha", "0.5", "--beta", "2"],
+             "quadrature of the integrand did not reach tolerance: error estimate 2.046e-03"
+             " still above 5.000e-11 after 512 panels"),
+            (["integrate", "--f", "1", "--a", "1e-300", "--t", "1", "--alpha", "0.5",
+              "--beta", "1"],
+             "quadrature of the integrand did not reach tolerance: error estimate 6.719e-08"
+             " still above 2.000e-10 after 41 panels"),
+            (["heat", "--L", "1", "--k", "0.003", "--alpha", "0.5", "--beta", "1", "--t", "1",
+              "--x-points", "5", "--f", "x*(1-x)*sin(1000000*x)", "--n-terms", "3"],
+             "quadrature of initial profile x*(1.0-x)*sin(1000000.0*x) did not reach tolerance"
+             " in component n=3 of 3: error estimate 5.783e-03 still above 1.000e-12"
+             " after 512 panels"),
+            (["heat", "--L", "1", "--k", "0.003", "--alpha", "0.5", "--beta", "1", "--t", "1",
+              "--x-points", "5", "--f", "x*(1-x)/((x-0.31)^2+1e-300)", "--n-terms", "3"],
+             "quadrature of initial profile x*(1.0-x)/((x-0.31)^2.0+1e-300) did not reach"
+             " tolerance in component n=2 of 3: error estimate 1.845e+16 still above"
+             " 2.615e-12 after 41 panels"),
+        ],
+        ids=["integrate-budget", "integrate-floor", "heat-budget", "heat-floor"],
+    )
+    def test_message_is_exact(self, capsys, tmp_path, argv, message):
+        out_path = tmp_path / "o.csv"
+        if argv[0] == "heat":
+            argv = argv + ["--output", str(out_path)]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert not out_path.exists()
+
+
 class TestParserReuse:
     """`main` reuses one parser per process; no call may see another's flags."""
 

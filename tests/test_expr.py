@@ -162,11 +162,13 @@ class TestEvaluate:
             ("1/x", 0.0),
             ("x^0.5", -1.0),
             ("x^-1", 0.0),
+            ("x/(x-1)", 1.0),
         ],
     )
     def test_domain_errors(self, source, t):
-        with pytest.raises(DomainError):
-            evaluate(parse(source), t)
+        for fn in (evaluate, evaluate_dual):
+            with pytest.raises(DomainError, match="^cannot evaluate '"):
+                fn(parse(source), t)
 
     def test_domain_error_names_offending_node(self):
         with pytest.raises(DomainError) as err:
@@ -208,16 +210,6 @@ class TestDual:
         d = evaluate_dual(parse("x^x"), 2.0)
         assert d.val == 4.0
         assert d.der == pytest.approx(4.0 * (math.log(2.0) + 1.0), rel=1e-14)
-
-    def test_dual_arithmetic_with_scalars(self):
-        u = DualNumber(3.0, 2.0)
-        assert 1.0 + u == DualNumber(4.0, 2.0)
-        assert 1.0 - u == DualNumber(-2.0, -2.0)
-        assert 2.0 * u == DualNumber(6.0, 4.0)
-        assert (u / 2.0).val == 1.5
-        assert (6.0 / u).val == 2.0
-        with pytest.raises(DomainError):
-            u / DualNumber(0.0, 1.0)
 
 
 def _random_expr(rng, depth):

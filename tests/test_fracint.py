@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from _support import assert_close
+from _support import assert_close, panels_used
 from mfrac import quad
 from mfrac.errors import ToleranceNotMetError, ValidationError
 from mfrac.expr import as_dual_fn, as_fn, parse
@@ -35,16 +35,6 @@ class TestAdaptiveQuadrature:
         rev = integrate_adaptive(math.exp, 1.0, 0.0)
         assert rev.value == -fwd.value
 
-    def test_reversed_interval_negates_best(self):
-        wild = lambda x: math.sin(1.0 / x) if x else 0.0
-        bests = []
-        for a, b in ((1e-9, 1.0), (1.0, 1e-9)):
-            with pytest.raises(ToleranceNotMetError) as err:
-                integrate_adaptive(wild, a, b)
-            bests.append(err.value.best)
-        fwd, rev = bests
-        assert rev == QuadratureResult(-1.0 * fwd.value, fwd.abs_error_estimate, fwd.subdivisions)
-
     def test_empty_interval(self):
         r = integrate_adaptive(math.exp, 1.0, 1.0)
         assert r == QuadratureResult(0.0, 0.0, 1)
@@ -58,11 +48,7 @@ class TestAdaptiveQuadrature:
         # while the panels are still wide enough that no node collides with c.
         with pytest.raises(ToleranceNotMetError) as err:
             integrate_adaptive(spike, 1.0, 2.0, abs_tol=1e-12, rel_tol=0.0)
-        best = err.value.best
-        exact = 2.0 * (math.sqrt(c - 1.0) + math.sqrt(2.0 - c))
-        assert abs(best.value - exact) <= 1e-2
-        assert best.subdivisions > 10
-        assert best.subdivisions < quad._MAX_PANELS  # the floor, not the budget
+        assert 10 < panels_used(err.value) < quad._MAX_PANELS  # the floor, not the budget
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -107,25 +93,23 @@ class TestRefine:
             assert error <= 1e-10 * abs(value)
         assert abs(values[1] - 0.29) <= 1e-10
 
-    def test_panel_budget_raises_with_the_best_triple(self):
+    def test_panel_budget_raises(self):
         # Every panel's estimate is its width: the sum never falls, and
         # halving goes breadth first, so the budget ends it.
         rule = lambda lo, hi, _: ((hi - lo,), (hi - lo,), None, None)
         with pytest.raises(ToleranceNotMetError, match="after 512 panels") as info:
             refine(rule, 0.0, 1.0, None, 0.5, 0.0, "the width")
         assert "component" not in str(info.value)
-        assert info.value.best == ([1.0], [1.0], quad._MAX_PANELS)
+        assert panels_used(info.value) == quad._MAX_PANELS
 
-    def test_width_floor_raises_with_the_best_triple(self):
+    def test_width_floor_raises(self):
         # Only the panel holding c has an estimate, so the halving goes depth
         # first and reaches the narrowest panel long before the budget.
         c = math.sqrt(2.0) / 3.0
         rule = lambda lo, hi, _: ((hi - lo, 0.0), (0.0, float(lo <= c < hi)), None, None)
         with pytest.raises(ToleranceNotMetError, match="in component n=2 of 2") as info:
             refine(rule, 0.0, 1.0, None, 0.5, 0.0, "the step")
-        values, errors, panels = info.value.best
-        assert values == [1.0, 0.0] and errors == [0.0, 1.0]
-        assert 40 <= panels < quad._MAX_PANELS
+        assert 40 <= panels_used(info.value) < quad._MAX_PANELS
 
     def test_non_finite_value_names_what_is_integrated(self):
         rule = lambda lo, hi, _: ((math.inf if lo == 0.5 else 1.0,), (1.0,), None, None)
